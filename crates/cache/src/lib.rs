@@ -218,6 +218,16 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// Fetch a live entry, refreshing its recency. Expired entries are
     /// removed and counted, then reported as misses.
     pub fn get(&self, key: &K) -> Option<V> {
+        self.get_with(key, |v| Some(v.clone()))
+    }
+
+    /// Fetch a live entry through `accept`, which sees the stored value
+    /// under the shard lock and returns what the caller wants from it, or
+    /// `None` to reject it. A rejected entry stays put and counts as a
+    /// miss; an accepted one refreshes its recency and counts as a hit.
+    /// Callers whose key is a digest use this to check the entry really
+    /// belongs to their request before taking (cloning) the value.
+    pub fn get_with<R>(&self, key: &K, accept: impl FnOnce(&V) -> Option<R>) -> Option<R> {
         let now = self.clock.now();
         let new_tick = self.next_tick();
         let mut shard = self.shard_for(key).lock();
@@ -237,9 +247,12 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             return None;
         }
         let entry = shard.map.get_mut(key).expect("checked above");
+        let Some(value) = accept(&entry.value) else {
+            self.misses.inc();
+            return None;
+        };
         let old_tick = entry.tick;
         entry.tick = new_tick;
-        let value = entry.value.clone();
         let key_clone = key.clone();
         shard.recency.remove(&old_tick);
         shard.recency.insert(new_tick, key_clone);
@@ -415,6 +428,21 @@ mod tests {
         assert_eq!(c.get(&"a".into()), Some(1));
         assert_eq!(c.get(&"b".into()), None);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn get_with_rejection_is_a_miss_that_keeps_the_entry() {
+        let (c, _) = sim_cache(2, None);
+        c.insert("a".into(), 1);
+        c.insert("b".into(), 2);
+        assert_eq!(c.get_with(&"a".into(), |_| None::<u32>), None);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (0, 1));
+        // Rejection does not refresh recency: "a" is still the LRU victim.
+        c.insert("c".into(), 3);
+        assert_eq!(c.get(&"a".into()), None);
+        assert_eq!(c.get_with(&"b".into(), |v| Some(v * 10)), Some(20));
+        assert_eq!(c.stats().hits, 1);
     }
 
     #[test]

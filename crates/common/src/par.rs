@@ -77,6 +77,11 @@ struct Pool {
     receiver: Arc<Mutex<Receiver<Job>>>,
     reserved: AtomicUsize,
     live: AtomicUsize,
+    /// The largest [`ensure_pool_capacity`] request: the workers kept free
+    /// for short jobs on top of those held by long-lived ones.
+    base: AtomicUsize,
+    /// Workers currently running a [`spawn_long_lived`] job.
+    long_lived: AtomicUsize,
 }
 
 fn pool() -> &'static Pool {
@@ -88,6 +93,8 @@ fn pool() -> &'static Pool {
             receiver: Arc::new(Mutex::new(receiver)),
             reserved: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
+            base: AtomicUsize::new(0),
+            long_lived: AtomicUsize::new(0),
         }
     })
 }
@@ -376,9 +383,14 @@ where
 /// construction, sized to their concurrency budget, so steady-state
 /// [`spawn`] dispatches never pay a thread spawn. Unlike [`par_map`]'s
 /// sizing this is independent of [`max_threads`]: a dispatcher's budget
-/// counts *waiting* capacity, not compute parallelism.
+/// counts *waiting* capacity, not compute parallelism. The largest request
+/// is also the reserve [`spawn_long_lived`] keeps free beside long-lived
+/// jobs.
 pub fn ensure_pool_capacity(want: usize) -> usize {
-    pool().ensure_workers(want)
+    let pool = pool();
+    pool.base
+        .fetch_max(want.min(MAX_POOL_WORKERS), Ordering::AcqRel);
+    pool.ensure_workers(want + pool.long_lived.load(Ordering::Acquire))
 }
 
 /// Dispatch one fire-and-forget job to the shared worker pool. `Ok(())`
@@ -400,6 +412,31 @@ pub fn spawn<F: FnOnce() + Send + 'static>(job: F) -> std::result::Result<(), F>
     }
     pool.submit(Box::new(move || {
         let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+    }));
+    Ok(())
+}
+
+/// Dispatch a job that may hold its worker for a long time (a keep-alive
+/// connection) without starving anything queued behind it. The pool first
+/// grows so that, besides every running long-lived job, the capacity
+/// reserved through [`ensure_pool_capacity`] (at least one worker) stays
+/// free — so this job starts at once and short jobs keep their workers.
+/// `Err(job)` hands the job back when the pool is at its hard cap or the
+/// caller is a pool worker; run it on a dedicated thread then.
+pub fn spawn_long_lived<F: FnOnce() + Send + 'static>(job: F) -> std::result::Result<(), F> {
+    if IS_POOL_WORKER.with(|flag| flag.get()) {
+        return Err(job);
+    }
+    let pool = pool();
+    let held = pool.long_lived.fetch_add(1, Ordering::AcqRel) + 1;
+    let want = held + pool.base.load(Ordering::Acquire).max(1);
+    if pool.ensure_workers(want) < want {
+        pool.long_lived.fetch_sub(1, Ordering::AcqRel);
+        return Err(job);
+    }
+    pool.submit(Box::new(move || {
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        pool.long_lived.fetch_sub(1, Ordering::AcqRel);
     }));
     Ok(())
 }
@@ -637,6 +674,59 @@ mod tests {
             !rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap(),
             "nested spawn must be refused"
         );
+    }
+
+    #[test]
+    fn long_lived_jobs_never_wait_behind_each_other() {
+        // More blocking jobs than the pool had workers: each must start
+        // promptly because the pool grows to hold them all.
+        let n = max_threads() + 12;
+        let started = Arc::new(AtomicUsize::new(0));
+        let finished = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new((Mutex::new(false), Condvar::new()));
+        for _ in 0..n {
+            let started = Arc::clone(&started);
+            let finished = Arc::clone(&finished);
+            let release = Arc::clone(&release);
+            let job = move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                let (lock, cv) = &*release;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            };
+            if let Err(job) = spawn_long_lived(job) {
+                std::thread::spawn(job);
+            }
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while started.load(Ordering::SeqCst) < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a long-lived job starved"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Short work still runs while every long-lived job blocks.
+        let (tx, rx) = channel();
+        assert!(spawn(move || tx.send(7).unwrap()).is_ok());
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap(),
+            7
+        );
+        let (lock, cv) = &*release;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+        // Every job (pool or fallback thread) runs to completion.
+        while finished.load(Ordering::SeqCst) < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a long-lived job never finished"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -68,8 +68,11 @@
 //!
 //! [`TokenDatabase::persist_to`] and [`TokenDatabase::load_from`] move the
 //! whole database through the embedded document store (the MongoDB
-//! substitute), with the `codes_k*` array fields secondary-indexed so
-//! bucket queries stay cheap on the persistent side too.
+//! substitute): one document per record, written in one batched WAL
+//! append. The `codes_k*` array fields are stored but not indexed — the
+//! only reader is `load_from`, which scans the collection and checks the
+//! stored `codes_k1` against the recomputed codes. Ad-hoc docstore queries
+//! by code (`Filter::eq("codes_k1", …)`) still work, by scan.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -800,12 +803,18 @@ impl TokenDatabase {
         Ok(out)
     }
 
-    /// Persist every record into `store[collection]`, creating the
-    /// collection and per-level code indexes. Existing contents of the
-    /// collection are replaced — including the per-shard collections of a
-    /// previous *sharded* persist under the same name, so switching a
-    /// deployment from the sharded backend to the single instance never
-    /// leaks a stale corpus copy.
+    /// Persist every record into `store[collection]`. Existing contents
+    /// of the collection are replaced — including the per-shard
+    /// collections of a previous *sharded* persist under the same name, so
+    /// switching a deployment from the sharded backend to the single
+    /// instance never leaks a stale corpus copy.
+    ///
+    /// Each record becomes one document (`token`, `count`, `is_english`,
+    /// `codes_k0..`), written through one batched
+    /// [`Database::insert_many`]: one WAL frame per record, one flush for
+    /// the whole collection. No secondary index is built — nothing reads
+    /// the persisted collection except [`TokenDatabase::load_from`], which
+    /// scans it.
     ///
     /// Crash-safe: the new state is built in full under a staging name and
     /// committed by a single atomic collection rename; a crash at any point
@@ -818,23 +827,24 @@ impl TokenDatabase {
             store.drop_collection(&staging)?;
         }
         store.create_collection(&staging)?;
-        for k in 0..NUM_LEVELS {
-            store.create_index(&staging, &format!("codes_k{k}"))?;
-        }
-        store.create_index(&staging, "token")?;
-        for rec in &self.records {
-            let mut doc = Document::new()
-                .with("token", rec.token.as_str())
-                .with("count", rec.count as i64)
-                .with("is_english", rec.is_english);
-            for (k, codes) in rec.codes.iter().enumerate() {
-                doc.set(
-                    format!("codes_k{k}"),
-                    Value::Array(codes.iter().map(|c| Value::from(c.as_str())).collect()),
-                );
-            }
-            store.insert(&staging, doc)?;
-        }
+        let docs = self
+            .records
+            .iter()
+            .map(|rec| {
+                let mut doc = Document::new()
+                    .with("token", rec.token.as_str())
+                    .with("count", rec.count as i64)
+                    .with("is_english", rec.is_english);
+                for (k, codes) in rec.codes.iter().enumerate() {
+                    doc.set(
+                        format!("codes_k{k}"),
+                        Value::Array(codes.iter().map(|c| Value::from(c.as_str())).collect()),
+                    );
+                }
+                doc
+            })
+            .collect();
+        store.insert_many(&staging, docs)?;
         failpoint::check("persist.commit")?;
         // The commit point: one WAL record swaps staging over live.
         store.rename_collection(&staging, collection)?;
@@ -1042,12 +1052,65 @@ mod tests {
         let db = table1_db();
         let store = Database::in_memory();
         db.persist_to(&store, "tokens").unwrap();
-        // Query the docstore directly by H1 code — exercises the
-        // array-valued secondary index.
+        // Query the docstore directly by H1 code. No index is built, so
+        // this is a scan; array-valued fields match on any element.
         let hits = store
             .find("tokens", &Filter::eq("codes_k1", "TH000"))
             .unwrap();
         assert_eq!(hits.len(), 2);
+    }
+
+    #[test]
+    fn per_record_indexed_layout_still_loads_identically() {
+        // Stores written before persists were batched carry six
+        // `CreateIndex` records and one separately flushed frame per
+        // record. Replay of that WAL (and of its snapshot) must still load
+        // the exact database, and a re-persist over it must be identical.
+        let db = table1_db();
+        let dir = std::env::temp_dir().join(format!(
+            "cryptext-db-old-layout-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let store = Database::open(&dir, Default::default()).unwrap();
+            store.create_collection("tokens__staging").unwrap();
+            for k in 0..NUM_LEVELS {
+                store
+                    .create_index("tokens__staging", &format!("codes_k{k}"))
+                    .unwrap();
+            }
+            store.create_index("tokens__staging", "token").unwrap();
+            for rec in db.records() {
+                let mut doc = Document::new()
+                    .with("token", rec.token.as_str())
+                    .with("count", rec.count as i64)
+                    .with("is_english", rec.is_english);
+                for (k, codes) in rec.codes.iter().enumerate() {
+                    doc.set(
+                        format!("codes_k{k}"),
+                        Value::Array(codes.iter().map(|c| Value::from(c.as_str())).collect()),
+                    );
+                }
+                store.insert("tokens__staging", doc).unwrap();
+            }
+            store
+                .rename_collection("tokens__staging", "tokens")
+                .unwrap();
+        }
+        for checkpoint in [false, true] {
+            let store = Database::open(&dir, Default::default()).unwrap();
+            let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
+            assert_eq!(restored.records(), db.records(), "checkpoint={checkpoint}");
+            if checkpoint {
+                restored.persist_to(&store, "tokens").unwrap();
+                let again = TokenDatabase::load_from(&store, "tokens").unwrap();
+                assert_eq!(again.records(), db.records());
+            }
+            store.checkpoint().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   that never crashed.
 //! * **Compaction** — [`DurableTokenStore::compact`] folds the logs into
 //!   a fresh epoch snapshot (`tokens__e{E}`, written with the crash-safe
-//!   staged persist), atomically swaps the `tokens__ingest` manifest
+//!   staged persist, whose records go to the docstore WAL in one batched
+//!   append), atomically swaps the `tokens__ingest` manifest
 //!   (epoch, shard count, `included_batch`) via a staging-collection
 //!   rename, then truncates the logs and sweeps stale epochs. The
 //!   manifest swap is the only commit point; `batch_seq` never resets, so
@@ -48,7 +49,9 @@
 //! recovery (the frame scan stops at the first bad frame). The store
 //! therefore **poisons** itself on any log-write failure — subsequent
 //! ingests, compactions, and grows fail fast until the store is reopened,
-//! which truncates the torn tail and resumes cleanly. The fallible
+//! which truncates the torn tail and resumes cleanly. A failed
+//! [`DurableTokenStore::compact`] poisons the handle for the same reason:
+//! its docstore WAL may end in a torn frame. The fallible
 //! `try_*` ingest methods surface these errors; the infallible
 //! [`TokenStore`] ingest surface applies *nothing* on failure and leaves
 //! the error visible through [`DurableTokenStore::poisoned`].
@@ -533,14 +536,29 @@ impl<S: DeltaStore> DurableTokenStore<S> {
     /// Fold the delta logs into a fresh epoch snapshot and truncate them.
     ///
     /// Steps: (1) persist the in-memory store under `tokens__e{E+1}`
-    /// (itself a staged, crash-safe persist); (2) atomically swap the
-    /// manifest — the commit point; (3) truncate the logs; (4) sweep
-    /// stale epochs and checkpoint the docstore. A crash before (2)
-    /// changes nothing (the next open replays snapshot `E` + logs); a
-    /// crash after (2) is cosmetic (surviving frames sit at or below the
+    /// (itself a staged, crash-safe persist: every record of a shard is
+    /// logged to the docstore WAL in one batched append — one frame per
+    /// record, one flush — and no secondary index is built); (2)
+    /// atomically swap the manifest — the commit point; (3) truncate the
+    /// logs; (4) sweep stale epochs and checkpoint the docstore. A crash
+    /// before (2), including one that tears the batched append at any
+    /// frame, changes nothing (the next open replays snapshot `E` + logs);
+    /// a crash after (2) is cosmetic (surviving frames sit at or below the
     /// new `included_batch` watermark and are filtered on replay).
+    ///
+    /// Any failure poisons the handle. A failed docstore write may leave a
+    /// torn WAL tail, and a retried compaction appended after it would be
+    /// invisible to recovery while its log truncation stands.
     pub fn compact(&mut self) -> Result<()> {
         self.ensure_live()?;
+        let res = self.compact_inner();
+        if res.is_err() {
+            self.poisoned = true;
+        }
+        res
+    }
+
+    fn compact_inner(&mut self) -> Result<()> {
         let _t = self.compact_us.start_timer();
         let new_epoch = self.epoch + 1;
         let included = self.next_batch - 1;
@@ -551,23 +569,16 @@ impl<S: DeltaStore> DurableTokenStore<S> {
 
         // Committed: failures past this point poison the handle (writer
         // state is being replaced) but can never lose data.
-        let truncate = |this: &mut Self| -> Result<()> {
-            for s in 0..this.logs.len() {
-                failpoint::check("compact.truncate")?;
-                let p = Self::log_path_in(&this.dir, s);
-                std::fs::write(&p, [])?;
-                this.logs[s] = FrameWriter::open(&p, false, "delta.append")?;
-            }
+        for s in 0..self.logs.len() {
             failpoint::check("compact.truncate")?;
-            let p = Self::commit_path_in(&this.dir);
+            let p = Self::log_path_in(&self.dir, s);
             std::fs::write(&p, [])?;
-            this.commit = FrameWriter::open(&p, false, "delta.commit")?;
-            Ok(())
-        };
-        if let Err(e) = truncate(self) {
-            self.poisoned = true;
-            return Err(e);
+            self.logs[s] = FrameWriter::open(&p, false, "delta.append")?;
         }
+        failpoint::check("compact.truncate")?;
+        let p = Self::commit_path_in(&self.dir);
+        std::fs::write(&p, [])?;
+        self.commit = FrameWriter::open(&p, false, "delta.commit")?;
 
         for name in self.store.collections_with_prefix("tokens__e") {
             match Self::collection_epoch(&name) {
@@ -983,6 +994,90 @@ mod tests {
     #[test]
     fn kill_at_every_boundary_sharded_recovers_a_committed_prefix() {
         crash_sweep::<ShardedTokenDatabase>("sharded", 2, same_sharded);
+    }
+
+    /// Kill or tear the docstore WAL at every frame one `compact()`
+    /// writes — the staging collection, each record of the batched epoch
+    /// persist, the commit rename, the manifest swap and the stale-epoch
+    /// sweep. Compaction changes no data, so every crash must recover
+    /// byte-identical to the pre-compaction committed state, and a clean
+    /// compaction after recovery must keep it. One shard keeps the whole
+    /// persist on the calling thread, where the thread-local arm reaches
+    /// every frame; with several shards it runs on pool workers, which
+    /// the CI `CRYPTEXT_FAILPOINTS` tear arm covers.
+    fn compaction_batch_sweep<S: DeltaStore>(tag: &str, same: fn(&S, &S) -> bool) {
+        let shards = 1;
+        let batches = ingest_batches();
+        let want: S = prefix_store(shards, batches.len());
+        // An earlier epoch, so the swept compaction also drops one.
+        let prepare = |dir: &Path| -> DurableTokenStore<S> {
+            let mut db = DurableTokenStore::<S>::open(dir, opts(shards)).unwrap();
+            db.try_ingest_texts(batches[0]).unwrap();
+            db.compact().unwrap();
+            for batch in &batches[1..] {
+                db.try_ingest_texts(batch).unwrap();
+            }
+            db
+        };
+
+        let dir = tmp_dir(&format!("compact-sweep-{tag}-count"));
+        let mut db = prepare(&dir);
+        failpoint::reset_hits();
+        db.compact().unwrap();
+        let frames = failpoint::hits("wal.append");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        let records = TokenStore::unique_tokens(&want) as u64;
+        assert!(
+            frames > records,
+            "compaction logs every record, got {frames} frames for {records}"
+        );
+
+        for i in 1..=frames {
+            for spec in [
+                format!("kill@{i}"),
+                format!("torn@{i}:3"),
+                format!("torn@{i}:13"),
+            ] {
+                let dir = tmp_dir(&format!("compact-sweep-{tag}-{i}"));
+                let mut db = prepare(&dir);
+                failpoint::reset_hits();
+                let guard = failpoint::arm("wal.append", &spec);
+                let err = db.compact().unwrap_err();
+                drop(guard);
+                assert!(
+                    failpoint::is_injected(&err),
+                    "{spec}: unexpected error {err}"
+                );
+                assert!(
+                    db.poisoned(),
+                    "{spec}: a failed compaction wedges the handle"
+                );
+                drop(db);
+
+                let mut db = DurableTokenStore::<S>::open(&dir, opts(shards))
+                    .unwrap_or_else(|e| panic!("{spec}: recovery must never fail: {e}"));
+                assert!(same(&want, db.inner()), "{spec}: recovered state diverges");
+                db.compact().unwrap();
+                drop(db);
+                let db = DurableTokenStore::<S>::open(&dir, opts(shards)).unwrap();
+                assert!(
+                    same(&want, db.inner()),
+                    "{spec}: recompacted state diverges"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    #[test]
+    fn crash_at_every_frame_of_a_compaction_batch_flat() {
+        compaction_batch_sweep::<TokenDatabase>("flat", same_flat);
+    }
+
+    #[test]
+    fn crash_at_every_frame_of_a_compaction_batch_sharded() {
+        compaction_batch_sweep::<ShardedTokenDatabase>("sharded", same_sharded);
     }
 
     #[test]

@@ -142,35 +142,140 @@ thread_local! {
     static NORMALIZE_SCRATCH: RefCell<NormalizeScratch> = RefCell::new(NormalizeScratch::new());
 }
 
-/// A compact 128-bit hashed cache key: two independently-salted fx digests
-/// of the request material. Replaces the old per-request `String` key —
-/// no allocation, fixed size, and the collision probability of two live
-/// requests aliasing 128 bits of digest is negligible next to hardware
-/// fault rates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    hi: u64,
-    lo: u64,
+/// The identity of a cached request: a tag byte, the generation, the
+/// params that shape the answer, then the input bytes. Its *material* is
+/// that sequence laid out as bytes (fixed-width fields first and one
+/// variable-length input last, so the layout is injective). Borrowed and
+/// `Copy`: hashing it, or checking it against stored material, streams
+/// the parts without allocating.
+///
+/// Tier-1 maps are keyed by the material's 64-bit digest, and every entry
+/// stores its full material ([`Keyed`]); a hit compares it, so two
+/// different requests can never share an entry — colliding digests only
+/// evict each other. A digest alone is not enough: two salted FxHash
+/// lanes are not independent, and real tokens such as `destroy!ng` and
+/// `destroyimg` collide in all 128 bits of them.
+#[derive(Clone, Copy)]
+struct KeySpec<'a> {
+    tag: u8,
+    generation: u64,
+    fields: [u64; 5],
+    n_fields: usize,
+    input: &'a [u8],
+    /// Key on the ASCII-lowercased input.
+    fold_ascii: bool,
 }
 
-impl CacheKey {
-    fn as_u128(self) -> u128 {
-        ((self.hi as u128) << 64) | self.lo as u128
+impl<'a> KeySpec<'a> {
+    fn new(tag: u8, generation: u64, fields: &[u64], input: &'a [u8], fold_ascii: bool) -> Self {
+        let mut spec = KeySpec {
+            tag,
+            generation,
+            fields: [0; 5],
+            n_fields: fields.len(),
+            input,
+            fold_ascii,
+        };
+        spec.fields[..fields.len()].copy_from_slice(fields);
+        spec
+    }
+
+    /// Feed the material to `sink` in order.
+    fn emit(&self, sink: &mut impl FnMut(&[u8])) {
+        sink(&[self.tag]);
+        sink(&self.generation.to_le_bytes());
+        for f in &self.fields[..self.n_fields] {
+            sink(&f.to_le_bytes());
+        }
+        if self.fold_ascii {
+            let mut chunk = [0u8; 64];
+            for part in self.input.chunks(chunk.len()) {
+                let folded = &mut chunk[..part.len()];
+                folded.copy_from_slice(part);
+                folded.make_ascii_lowercase();
+                sink(folded);
+            }
+        } else {
+            sink(self.input);
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.emit(&mut |bytes| h.write(bytes));
+        h.finish()
+    }
+
+    fn material(&self) -> Box<[u8]> {
+        let mut out = Vec::with_capacity(9 + 8 * self.n_fields + self.input.len());
+        self.emit(&mut |bytes| out.extend_from_slice(bytes));
+        out.into_boxed_slice()
+    }
+
+    /// Is `stored` exactly this request's material?
+    fn matches(&self, stored: &[u8]) -> bool {
+        let mut rest = stored;
+        let mut same = true;
+        self.emit(&mut |bytes| {
+            same = same && rest.starts_with(bytes);
+            if same {
+                rest = &rest[bytes.len()..];
+            }
+        });
+        same && rest.is_empty()
     }
 }
 
-/// Hash the same material twice under different salts into one 128-bit key.
-fn two_point_hash(write: impl Fn(&mut FxHasher)) -> CacheKey {
-    let mut a = FxHasher::default();
-    a.write_u64(0x9E37_79B9_7F4A_7C15);
-    write(&mut a);
-    let mut b = FxHasher::default();
-    b.write_u64(0xC2B2_AE3D_27D4_EB4F);
-    write(&mut b);
-    CacheKey {
-        hi: a.finish(),
-        lo: b.finish(),
-    }
+/// A tier-1 entry: the value plus the material of the request it answers.
+#[derive(Clone)]
+struct Keyed<T> {
+    material: Box<[u8]>,
+    value: T,
+}
+
+/// The tier-1 hit for `spec`, if the entry under its digest is really its.
+fn cached<T: Clone>(cache: &Cache<u64, Keyed<T>>, spec: &KeySpec) -> Option<T> {
+    cache.get_with(&spec.digest(), |e| {
+        spec.matches(&e.material).then(|| e.value.clone())
+    })
+}
+
+/// Fill tier-1 for `spec`.
+fn fill<T: Clone>(cache: &Cache<u64, Keyed<T>>, spec: &KeySpec, value: T) {
+    let material = spec.material();
+    cache.insert(spec.digest(), Keyed { material, value });
+}
+
+/// The tier-2 store's 128-bit key for a request. Tier-2 values carry their
+/// full material (see [`seal`]), so a digest collision costs a miss, never
+/// a wrong answer.
+fn tier2_key(spec: &KeySpec) -> u128 {
+    let lane = |salt: u64| {
+        let mut h = FxHasher::default();
+        h.write_u64(salt);
+        spec.emit(&mut |bytes| h.write(bytes));
+        h.finish() as u128
+    };
+    (lane(0x9E37_79B9_7F4A_7C15) << 64) | lane(0xC2B2_AE3D_27D4_EB4F)
+}
+
+/// Prefix a tier-2 value with the material of the request it answers:
+/// `material_len:u32 ‖ material ‖ payload`, little-endian.
+fn seal(material: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + material.len() + payload.len());
+    out.extend_from_slice(&(material.len() as u32).to_le_bytes());
+    out.extend_from_slice(material);
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The payload of a [`seal`]ed value, or `None` when it belongs to a
+/// different request (a tier-2 digest collision) or is malformed.
+fn unseal<'a>(spec: &KeySpec, bytes: &'a [u8]) -> Option<&'a [u8]> {
+    let (len, rest) = bytes.split_at_checked(4)?;
+    let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
+    let (stored, payload) = rest.split_at_checked(len)?;
+    spec.matches(stored).then_some(payload)
 }
 
 /// Serialize candidate pairs for the byte-valued tier-2 store:
@@ -253,15 +358,15 @@ pub struct CryptextService<S: TokenStore = TokenDatabase> {
     clock: Arc<dyn Clock>,
     tokens: RwLock<std::collections::HashMap<String, RateState>>,
     issued: std::sync::atomic::AtomicU64,
-    lookup_cache: Cache<CacheKey, Vec<LookupHit>>,
+    lookup_cache: Cache<u64, Keyed<Vec<LookupHit>>>,
     /// Tier-1 cross-text Normalization candidate memo (negative entries
     /// are empty pair lists — the out-of-dictionary p99 path).
-    norm_cache: Cache<CacheKey, CandidatePairs>,
+    norm_cache: Cache<u64, Keyed<CandidatePairs>>,
     /// Tier-1 whole-text Normalization *result* cache: an exact repeat of
     /// a text (raw bytes — the result echoes the input's casing) skips
     /// retrieval *and* scoring. Sits in front of the candidate memo; the
     /// memo still serves cross-text token repeats when this misses.
-    norm_result_cache: Cache<CacheKey, NormalizationResult>,
+    norm_result_cache: Cache<u64, Keyed<NormalizationResult>>,
     /// Optional tier-2 byte store the normalize cache reads through to and
     /// writes behind; possibly shared with replica services.
     tier2: Option<Arc<dyn CacheStore>>,
@@ -502,20 +607,17 @@ impl<S: TokenStore> CryptextService<S> {
         Arc::clone(&self.clock)
     }
 
-    /// The Look Up cache key: a hashed digest of the raw token, retrieval
-    /// params, and the current generation — replacing the old allocating
-    /// `format!` String key.
-    fn lookup_cache_key(&self, token: &str, params: LookupParams) -> CacheKey {
-        let generation = self.generation();
-        two_point_hash(|h| {
-            h.write_u8(b'L');
-            h.write_u64(generation);
-            h.write_usize(params.k);
-            h.write_usize(params.d);
-            h.write_u8(params.exclude_identity as u8);
-            h.write_u8(params.observed_only as u8);
-            h.write(token.as_bytes());
-        })
+    /// The Look Up cache key: the raw token, the retrieval params, and
+    /// the current generation.
+    fn lookup_cache_key<'a>(&self, token: &'a str, params: LookupParams) -> KeySpec<'a> {
+        let flags = params.exclude_identity as u64 | (params.observed_only as u64) << 1;
+        KeySpec::new(
+            b'L',
+            self.generation(),
+            &[params.k as u64, params.d as u64, flags],
+            token.as_bytes(),
+            false,
+        )
     }
 
     /// The Normalization candidate cache key: keyed on the token's ASCII
@@ -525,22 +627,17 @@ impl<S: TokenStore> CryptextService<S> {
     /// recomputed per context, so they stay out of the key), and the
     /// generation. Non-ASCII tokens key on their raw bytes: the phonetic
     /// fold and `str::to_lowercase` can diverge outside ASCII, so folding
-    /// the key there could alias tokens with different retrievals.
-    fn normalize_cache_key(&self, token: &str, k: usize, d: usize) -> CacheKey {
-        let generation = self.generation();
-        two_point_hash(|h| {
-            h.write_u8(b'N');
-            h.write_u64(generation);
-            h.write_usize(k);
-            h.write_usize(d);
-            if token.is_ascii() {
-                for byte in token.bytes() {
-                    h.write_u8(byte.to_ascii_lowercase());
-                }
-            } else {
-                h.write(token.as_bytes());
-            }
-        })
+    /// the key there could alias tokens with different retrievals. (A
+    /// folded ASCII key and a raw non-ASCII key never coincide: one is
+    /// all ASCII, the other is not.)
+    fn normalize_cache_key<'a>(&self, token: &'a str, k: usize, d: usize) -> KeySpec<'a> {
+        KeySpec::new(
+            b'N',
+            self.generation(),
+            &[k as u64, d as u64],
+            token.as_bytes(),
+            token.is_ascii(),
+        )
     }
 
     /// The whole-text Normalization result key: the full params (the
@@ -548,18 +645,20 @@ impl<S: TokenStore> CryptextService<S> {
     /// key they all participate) plus the *raw* text bytes. No case-fold
     /// here — the result echoes the input's casing, so differently-cased
     /// texts must not alias.
-    fn normalize_result_key(&self, text: &str, params: NormalizeParams) -> CacheKey {
-        let generation = self.generation();
-        two_point_hash(|h| {
-            h.write_u8(b'T');
-            h.write_u64(generation);
-            h.write_usize(params.k);
-            h.write_usize(params.d);
-            h.write_u64(params.edit_penalty.to_bits());
-            h.write_u64(params.prior_weight.to_bits());
-            h.write_usize(params.max_candidates);
-            h.write(text.as_bytes());
-        })
+    fn normalize_result_key<'a>(&self, text: &'a str, params: NormalizeParams) -> KeySpec<'a> {
+        KeySpec::new(
+            b'T',
+            self.generation(),
+            &[
+                params.k as u64,
+                params.d as u64,
+                params.edit_penalty.to_bits(),
+                params.prior_weight.to_bits(),
+                params.max_candidates as u64,
+            ],
+            text.as_bytes(),
+            false,
+        )
     }
 
     /// Look Up endpoint (cached).
@@ -571,11 +670,11 @@ impl<S: TokenStore> CryptextService<S> {
     ) -> Result<Vec<LookupHit>> {
         self.authorize(auth)?;
         let key = self.lookup_cache_key(token, params);
-        if let Some(hits) = self.lookup_cache.get(&key) {
+        if let Some(hits) = cached(&self.lookup_cache, &key) {
             return Ok(hits);
         }
         let hits = self.system.look_up(token, params)?;
-        self.lookup_cache.insert(key, hits.clone());
+        fill(&self.lookup_cache, &key, hits.clone());
         Ok(hits)
     }
 
@@ -608,7 +707,7 @@ impl<S: TokenStore> CryptextService<S> {
         cancel: &mut dyn FnMut() -> Option<Error>,
     ) -> Result<(Vec<LookupHit>, Served)> {
         let key = self.lookup_cache_key(token, params);
-        if let Some(hits) = self.lookup_cache.get(&key) {
+        if let Some(hits) = cached(&self.lookup_cache, &key) {
             return Ok((hits, Served::Tier1Hit));
         }
         let hits = PRECHECKED_SCRATCH.with(|scratch| {
@@ -621,7 +720,7 @@ impl<S: TokenStore> CryptextService<S> {
             scratch.attach_stages(None);
             res
         })?;
-        self.lookup_cache.insert(key, hits.clone());
+        fill(&self.lookup_cache, &key, hits.clone());
         Ok((hits, Served::Cold))
     }
 
@@ -664,7 +763,7 @@ impl<S: TokenStore> CryptextService<S> {
         params: NormalizeParams,
     ) -> Result<(NormalizationResult, Served)> {
         let result_key = self.normalize_result_key(text, params);
-        if let Some(result) = self.norm_result_cache.get(&result_key) {
+        if let Some(result) = cached(&self.norm_result_cache, &result_key) {
             return Ok((result, Served::Tier1Hit));
         }
         let cache = ServiceCandidateCache { svc: self };
@@ -681,7 +780,7 @@ impl<S: TokenStore> CryptextService<S> {
             scratch.attach_stages(None);
             res
         })?;
-        self.norm_result_cache.insert(result_key, result.clone());
+        fill(&self.norm_result_cache, &result_key, result.clone());
         Ok((result, Served::Cold))
     }
 
@@ -720,11 +819,11 @@ impl<S: TokenStore> CryptextService<S> {
         }
         let computed = try_par_map(&unique, |t| -> Result<Vec<LookupHit>> {
             let key = self.lookup_cache_key(t, params);
-            if let Some(hits) = self.lookup_cache.get(&key) {
+            if let Some(hits) = cached(&self.lookup_cache, &key) {
                 return Ok(hits);
             }
             let hits = self.system.look_up(t, params)?;
-            self.lookup_cache.insert(key, hits.clone());
+            fill(&self.lookup_cache, &key, hits.clone());
             Ok(hits)
         })?;
         // Scatter back to input order, moving (not cloning) each computed
@@ -887,7 +986,7 @@ struct ServiceCandidateCache<'a, S: TokenStore> {
 impl<S: TokenStore> CandidateCache for ServiceCandidateCache<'_, S> {
     fn get(&self, token: &str, k: usize, d: usize) -> Option<CandidatePairs> {
         let key = self.svc.normalize_cache_key(token, k, d);
-        if let Some(pairs) = self.svc.norm_cache.get(&key) {
+        if let Some(pairs) = cached(&self.svc.norm_cache, &key) {
             if pairs.is_empty() {
                 self.svc.negative_hits.inc();
             }
@@ -895,10 +994,10 @@ impl<S: TokenStore> CandidateCache for ServiceCandidateCache<'_, S> {
         }
         let t2 = self.svc.tier2.as_ref()?;
         let ns = self.svc.tier2_namespace(self.svc.generation());
-        let bytes = t2.get(ns, key.as_u128())?;
-        let pairs: CandidatePairs = Arc::new(decode_pairs(&bytes)?);
+        let bytes = t2.get(ns, tier2_key(&key))?;
+        let pairs: CandidatePairs = Arc::new(decode_pairs(unseal(&key, &bytes)?)?);
         // Promote into tier-1 so the next request never leaves process.
-        self.svc.norm_cache.insert(key, Arc::clone(&pairs));
+        fill(&self.svc.norm_cache, &key, Arc::clone(&pairs));
         if pairs.is_empty() {
             self.svc.negative_hits.inc();
         }
@@ -907,19 +1006,19 @@ impl<S: TokenStore> CandidateCache for ServiceCandidateCache<'_, S> {
 
     fn put(&self, token: &str, k: usize, d: usize, pairs: CandidatePairs) {
         let key = self.svc.normalize_cache_key(token, k, d);
-        self.svc.norm_cache.insert(key, Arc::clone(&pairs));
         if let Some(t2) = &self.svc.tier2 {
             let ns = self.svc.tier2_namespace(self.svc.generation());
-            // Write-behind: the result is already served from tier-1; a
-            // tier-2 failure (failpoint sweeps arm `cache.shared.put`)
-            // only means the fleet misses until the next fill.
+            // Write-behind: a tier-2 failure (failpoint sweeps arm
+            // `cache.shared.put`) only means the fleet misses until the
+            // next fill.
             let _ = t2.put(
                 ns,
-                key.as_u128(),
-                encode_pairs(&pairs),
+                tier2_key(&key),
+                seal(&key.material(), &encode_pairs(&pairs)),
                 Some(self.svc.config.cache_ttl_ms),
             );
         }
+        fill(&self.svc.norm_cache, &key, pairs);
     }
 }
 
@@ -948,6 +1047,84 @@ mod tests {
             Arc::new(clock.clone()),
         );
         (svc, clock)
+    }
+
+    /// Regression: the tier-1 keys were two salted FxHash digests of the
+    /// same material, and `destroy!ng` / `destroyimg` at generation 15
+    /// collided in all 128 bits, so the second token was served the
+    /// first's hits. Keys are now the exact request material.
+    #[test]
+    fn colliding_digest_tokens_each_get_their_own_hits() {
+        let mut db = TokenDatabase::in_memory();
+        db.ingest_text("destroying destroy!ng destroyimg destroyed destr0ying destroys");
+        let svc = CryptextService::new(
+            CrypText::new(db),
+            ServiceConfig::default(),
+            Arc::new(SimClock::new(0)),
+        );
+        let tok = svc.issue_token("collide");
+        for _ in 0..15 {
+            svc.bump_generation();
+        }
+        let params = LookupParams::paper_default();
+        let want_bang = svc.system().look_up("destroy!ng", params).unwrap();
+        let want_img = svc.system().look_up("destroyimg", params).unwrap();
+        assert_ne!(
+            want_bang, want_img,
+            "the two tokens must differ to test aliasing"
+        );
+        for _ in 0..2 {
+            assert_eq!(svc.look_up(&tok, "destroy!ng", params).unwrap(), want_bang);
+            assert_eq!(svc.look_up(&tok, "destroyimg", params).unwrap(), want_img);
+        }
+        let norm = NormalizeParams::default();
+        for text in ["destroy!ng", "destroyimg"] {
+            let want = svc.system().normalize(text, norm).unwrap();
+            for _ in 0..2 {
+                assert_eq!(svc.normalize(&tok, text, norm).unwrap(), want, "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn key_specs_match_only_their_own_material() {
+        fn spec(input: &str, fold: bool) -> KeySpec<'_> {
+            KeySpec::new(b'N', 15, &[1, 2], input.as_bytes(), fold)
+        }
+        let bang = spec("destroy!ng", false);
+        assert!(bang.matches(&bang.material()));
+        assert!(!bang.matches(&spec("destroyimg", false).material()));
+        assert!(
+            !bang.matches(&bang.material()[..20]),
+            "a prefix is not a match"
+        );
+        let mut longer = bang.material().to_vec();
+        longer.push(b'x');
+        assert!(!bang.matches(&longer), "an extension is not a match");
+        // Folding keys the lowercased input, across the 64-byte chunks.
+        let upper = format!("{}Z", "AB".repeat(40));
+        let lower = upper.to_ascii_lowercase();
+        assert_eq!(
+            spec(&upper, true).material(),
+            spec(&lower, false).material()
+        );
+        assert_eq!(spec(&upper, true).digest(), spec(&lower, false).digest());
+        assert!(spec(&upper, true).matches(&spec(&lower, false).material()));
+        assert!(!spec(&upper, false).matches(&spec(&lower, false).material()));
+    }
+
+    #[test]
+    fn tier2_values_only_unseal_under_their_own_key() {
+        let a = KeySpec::new(b'N', 0, &[], b"key-a", false);
+        let sealed = seal(&a.material(), b"payload");
+        assert_eq!(unseal(&a, &sealed), Some(&b"payload"[..]));
+        let b = KeySpec::new(b'N', 0, &[], b"key-b", false);
+        assert_eq!(unseal(&b, &sealed), None, "digest collision is a miss");
+        let short = KeySpec::new(b'N', 0, &[], b"key-", false);
+        assert_eq!(unseal(&short, &sealed), None);
+        for cut in 0..4 + a.material().len() {
+            assert_eq!(unseal(&a, &sealed[..cut]), None, "cut at {cut}");
+        }
     }
 
     #[test]

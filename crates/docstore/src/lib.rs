@@ -30,6 +30,12 @@
 //!   and survives both). Appends are framed `[len][crc32][payload]`, so a
 //!   crash mid-append leaves at worst a *torn tail*: recovery keeps the
 //!   intact frame prefix and discards the tear — never a partial record.
+//! * **After `insert_many` returns** — [`Database::insert_many`] logs one
+//!   ordinary insert frame per document and flushes (or fsyncs) once at
+//!   the end, so on return every record of the batch holds the guarantee
+//!   above. A crash mid-batch leaves an intact prefix of its records and
+//!   at worst a torn tail; the log format and replay are those of single
+//!   inserts.
 //! * **After a torn write** — [`wal::read_wal`]/[`wal::read_frames`] stop
 //!   at the first bad frame and report `truncated_tail`; reopening a
 //!   writer ([`wal::FrameWriter::open`]) truncates the torn bytes *before*

@@ -12,6 +12,14 @@
 //! `cryptext-core`; [`WalWriter`]/[`read_wal`] specialize it to [`WalOp`]
 //! payloads.
 //!
+//! Appends come in two shapes that write the same bytes:
+//! [`FrameWriter::append_frame`] frames one payload and flushes it, and
+//! [`FrameWriter::batch`] frames many payloads into the write buffer and
+//! flushes (and fsyncs, when enabled) once in [`FrameBatch::finish`]. A
+//! batch is a run of ordinary frames, so the on-disk format and replay
+//! are identical either way; [`WalWriter::append_inserts`] is the batch
+//! the bulk insert path ([`crate::Database::insert_many`]) logs through.
+//!
 //! Opening a writer is *recovering*: [`FrameWriter::open`] scans the file
 //! and truncates anything past the last intact frame before appending.
 //! Without that, a writer reopened after a crash would append fresh frames
@@ -116,12 +124,7 @@ impl WalOp {
                 collection,
                 id,
                 doc,
-            } => {
-                buf.put_u8(OP_INSERT);
-                put_str(&mut buf, collection);
-                buf.put_u64_le(*id);
-                encode_document(doc, &mut buf);
-            }
+            } => encode_insert(&mut buf, collection, *id, doc),
             WalOp::Update {
                 collection,
                 id,
@@ -210,6 +213,15 @@ impl WalOp {
     }
 }
 
+/// Encode a [`WalOp::Insert`] payload from borrowed parts, so a batch can
+/// log documents it has not moved into a `WalOp` (no per-document clone).
+fn encode_insert(buf: &mut BytesMut, collection: &str, id: u64, doc: &Document) {
+    buf.put_u8(OP_INSERT);
+    put_str(buf, collection);
+    buf.put_u64_le(id);
+    encode_document(doc, buf);
+}
+
 /// Scan raw log bytes, returning `(intact_len, frames)`: the byte length
 /// of the longest prefix made of whole valid frames, and those frames'
 /// payloads in order. Everything past `intact_len` is a torn tail.
@@ -270,6 +282,10 @@ pub fn read_frames(path: &Path) -> Result<FrameReadResult> {
     })
 }
 
+/// Write buffer of a log writer. A batch of small frames reaches the
+/// file in a few large `write(2)` calls instead of one per frame.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Append-side handle to a CRC-framed log file. Generic over payloads;
 /// [`WalWriter`] specializes it to [`WalOp`] records, the streaming-ingest
 /// delta logs append their own record encodings.
@@ -305,26 +321,33 @@ impl FrameWriter {
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(FrameWriter {
-            writer: BufWriter::new(file),
+            writer: BufWriter::with_capacity(WRITE_BUFFER_BYTES, file),
             sync_every_append,
             appended: 0,
             failpoint,
         })
     }
 
-    /// Append one framed payload; flushes (and optionally fsyncs) before
-    /// returning, so a successful append is at worst torn, never silent.
-    pub fn append_frame(&mut self, payload: &[u8]) -> Result<()> {
-        let mut frame = BytesMut::with_capacity(payload.len() + 8);
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc32(payload));
-        frame.extend_from_slice(payload);
+    /// Frame `payload` into the write buffer without flushing. The
+    /// failpoint fires once per frame. On an injected failure every frame
+    /// buffered before this one is flushed first, so the file holds
+    /// exactly the frames written so far (plus, for a torn write, the
+    /// first bytes of this one).
+    fn write_frame(&mut self, payload: &[u8]) -> Result<()> {
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
         match failpoint::trigger(self.failpoint) {
-            Some(FailAction::Kill) => return Err(failpoint::injected(self.failpoint)),
+            Some(FailAction::Kill) => {
+                self.writer.flush()?;
+                return Err(failpoint::injected(self.failpoint));
+            }
             Some(FailAction::Torn(k)) => {
                 // Simulate a crash mid-write(2): the first k bytes of the
                 // frame reach the file, then the "process dies".
-                self.writer.write_all(&frame[..k.min(frame.len())])?;
+                self.writer.write_all(&header[..k.min(8)])?;
+                self.writer
+                    .write_all(&payload[..k.saturating_sub(8).min(payload.len())])?;
                 self.writer.flush()?;
                 return Err(failpoint::injected(self.failpoint));
             }
@@ -334,13 +357,37 @@ impl FrameWriter {
             }
             None => {}
         }
-        self.writer.write_all(&frame)?;
+        self.writer.write_all(&header)?;
+        self.writer.write_all(payload)?;
+        Ok(())
+    }
+
+    /// Flush buffered frames to the OS, fsyncing when configured.
+    fn flush_frames(&mut self) -> Result<()> {
         self.writer.flush()?;
         if self.sync_every_append {
             self.writer.get_ref().sync_data()?;
         }
+        Ok(())
+    }
+
+    /// Append one framed payload; flushes (and optionally fsyncs) before
+    /// returning, so a successful append is at worst torn, never silent.
+    pub fn append_frame(&mut self, payload: &[u8]) -> Result<()> {
+        self.write_frame(payload)?;
+        self.flush_frames()?;
         self.appended += 1;
         Ok(())
+    }
+
+    /// Start a batch: frames pushed into it share one flush (and one
+    /// fsync, when enabled) at [`FrameBatch::finish`]. The bytes on disk
+    /// are the same frames [`FrameWriter::append_frame`] would write.
+    pub fn batch(&mut self) -> FrameBatch<'_> {
+        FrameBatch {
+            writer: self,
+            pushed: 0,
+        }
     }
 
     /// Frames appended through this handle.
@@ -352,6 +399,45 @@ impl FrameWriter {
     pub fn sync(&mut self) -> Result<()> {
         self.writer.flush()?;
         self.writer.get_ref().sync_data()?;
+        Ok(())
+    }
+}
+
+/// A run of frames appended with a single flush; see
+/// [`FrameWriter::batch`].
+///
+/// Crash behaviour is that of the equivalent sequence of single appends:
+/// a crash mid-batch leaves an intact prefix of its frames, possibly
+/// followed by a torn tail that recovery discards. A push failed by an
+/// injected crash flushes the frames pushed before it, so the file then
+/// holds exactly those; after a real I/O error their durability is
+/// unknown, as it is for the failing frame of a single append. Frames
+/// still buffered when a batch is dropped without [`FrameBatch::finish`]
+/// reach the file at the writer's next flush.
+#[derive(Debug)]
+pub struct FrameBatch<'w> {
+    writer: &'w mut FrameWriter,
+    pushed: u64,
+}
+
+impl FrameBatch<'_> {
+    /// Frame one payload into the batch (buffered, not yet flushed).
+    pub fn push(&mut self, payload: &[u8]) -> Result<()> {
+        self.writer.write_frame(payload)?;
+        self.pushed += 1;
+        Ok(())
+    }
+
+    /// Frames pushed so far.
+    pub fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Flush (and optionally fsync) every pushed frame. After `Ok`, each
+    /// frame is exactly as durable as a successful single append.
+    pub fn finish(self) -> Result<()> {
+        self.writer.flush_frames()?;
+        self.writer.appended += self.pushed;
         Ok(())
     }
 }
@@ -376,6 +462,34 @@ impl WalWriter {
     /// returning, so a successful append is at worst torn, never silent.
     pub fn append(&mut self, op: &WalOp) -> Result<()> {
         self.inner.append_frame(&op.encode())
+    }
+
+    /// Log one [`WalOp::Insert`] per document, with ids `first_id..`, as a
+    /// single batch ([`FrameWriter::batch`]): one frame per record, one
+    /// flush at the end. Returns how many records are logged alongside
+    /// the outcome: every record on success; on a failed frame, the
+    /// records before it (see [`FrameBatch`] for what reached the file);
+    /// and none when the closing flush fails, because then nothing of the
+    /// batch is known to have reached the file.
+    pub fn append_inserts(
+        &mut self,
+        collection: &str,
+        first_id: u64,
+        docs: &[Document],
+    ) -> (usize, Result<()>) {
+        let mut batch = self.inner.batch();
+        let mut payload = BytesMut::with_capacity(256);
+        for (id, doc) in (first_id..).zip(docs) {
+            payload.clear();
+            encode_insert(&mut payload, collection, id, doc);
+            if let Err(e) = batch.push(&payload) {
+                return (batch.pushed() as usize, Err(e));
+            }
+        }
+        match batch.finish() {
+            Ok(()) => (docs.len(), Ok(())),
+            Err(e) => (0, Err(e)),
+        }
     }
 
     /// Records appended through this handle.

@@ -4,11 +4,14 @@
 //! The listener runs nonblocking and the accept loop polls it in short
 //! sleeps, so [`ShutdownHandle::shutdown`] is observed within
 //! milliseconds without signal machinery. Each accepted connection is
-//! handed to the shared [`cryptext_common::par`] pool (falling back to a
-//! dedicated thread when the pool is saturated — an idle keep-alive
-//! connection must never wedge a pool lane the gateway wants for
-//! execution; the gateway itself degrades refused dispatches to inline
-//! execution, so the two layers can share the pool without deadlock).
+//! handed to the shared [`cryptext_common::par`] pool through
+//! [`par::spawn_long_lived`], which first grows the pool so every open
+//! connection holds its own worker and the gateway's reserved capacity
+//! stays free: an idle keep-alive connection can neither delay a new
+//! connection nor wedge a lane the gateway wants for execution. At the
+//! pool's hard cap a connection gets a dedicated thread instead. The
+//! gateway degrades refused dispatches (from pool workers) to inline
+//! execution, so the two layers share the pool without deadlock.
 //!
 //! ## Drain lifecycle
 //!
@@ -203,10 +206,11 @@ impl<S: TokenStore + Send + Sync + 'static> HttpServer<S> {
                         handle_connection(stream, &gateway, &config, &conn_shared);
                         conn_shared.open_conns.fetch_sub(1, Ordering::AcqRel);
                     };
-                    // A connection is long-lived (keep-alive): prefer a
-                    // pool lane, but never block the accept loop waiting
-                    // for one.
-                    if let Err(job) = par::spawn(job) {
+                    // A keep-alive connection holds its worker for its
+                    // whole life, so the pool grows to hold it (handlers
+                    // on pool workers run the gateway inline, with no
+                    // hand-off); at the pool cap it gets its own thread.
+                    if let Err(job) = par::spawn_long_lived(job) {
                         std::thread::spawn(job);
                     }
                 }

@@ -760,3 +760,49 @@ fn http10_close_default_and_stats_surface() {
         );
     }
 }
+
+/// More open keep-alive connections than the gateway's concurrency
+/// budget (`GatewayConfig::total_concurrency()`, 16 by default): each
+/// connection holds a pool worker for its whole life, so the pool must
+/// grow to hold them all — a new connection may never wait for an idle
+/// one to hit its header timeout.
+#[test]
+fn keep_alive_connections_beyond_the_pool_size_are_all_served() {
+    const CONNECTIONS: usize = 24;
+    const BOUND: Duration = Duration::from_millis(500);
+    let srv = server();
+
+    // Open them one by one, keeping every earlier connection open.
+    let mut clients = Vec::with_capacity(CONNECTIONS);
+    for i in 0..CONNECTIONS {
+        let mut c = Client::connect(srv.addr);
+        let sent = Instant::now();
+        c.send(&get_req("/healthz", None));
+        assert_eq!(c.read_response().status, 200);
+        let waited = sent.elapsed();
+        assert!(waited < BOUND, "connection {i} waited {waited:?}");
+        clients.push(c);
+    }
+
+    // Then all of them at once, each on its own thread.
+    let token = srv.token.clone();
+    let workers: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut c)| {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                let sent = Instant::now();
+                c.send(&get_req("/lookup?q=vaccine", Some(&token)));
+                let resp = c.read_response();
+                (i, resp.status, sent.elapsed())
+            })
+        })
+        .collect();
+    for w in workers {
+        let (i, status, waited) = w.join().expect("client thread");
+        assert_eq!(status, 200, "connection {i}");
+        assert!(waited < BOUND, "connection {i} waited {waited:?}");
+    }
+    assert!(srv.finish().drain.quiesced);
+}
