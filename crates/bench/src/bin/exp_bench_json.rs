@@ -61,15 +61,14 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cryptext_bench::{build_db, build_platform};
+use cryptext_bench::{build_db, build_db_with_shards, build_platform};
 use cryptext_common::{Error, SimClock};
 use cryptext_core::durable::{DurableOptions, DurableTokenStore};
 use cryptext_core::lookup::LookupHit;
 use cryptext_core::service::{CryptextService, ServiceConfig};
 use cryptext_core::{
     look_up_naive, look_up_with, CrypText, EncodedQuery, LookupParams, LookupScratch,
-    NormalizeParams, NormalizeScratch, Normalizer, ShardedTokenDatabase, StageMetrics,
-    TokenDatabase,
+    NormalizeParams, NormalizeScratch, Normalizer, StageMetrics, TokenDatabase,
 };
 use cryptext_docstore::Database;
 use cryptext_gateway::{
@@ -92,9 +91,8 @@ const OVERHEAD_LOOKUP_ROUNDS: usize = 10;
 const METRICS_OVERHEAD_BOUND: f64 = 1.05;
 const METRICS_OVERHEAD_SLACK_US: f64 = 0.25;
 /// The shard counts of the `shards` dimension: the same Look Up workload
-/// measured over the consistent-hash sharded backend at each count.
-/// Count 1 doubles as the trait-indirection regression check against the
-/// plain `optimized` block.
+/// measured over a store built from the same corpus at each count.
+/// Count 1 is the store the plain `optimized` block measures.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The ingest dimension's workload: this many one-post batches streamed
 /// through a durable store, compacting every [`COMPACT_EVERY`] batches.
@@ -155,6 +153,19 @@ fn measure(queries: &[&str], rounds: usize, mut f: impl FnMut(&str) -> usize) ->
     }
 }
 
+/// The machine and build a `BENCH_*.json` was produced on: online CPUs,
+/// compiler version and build profile. Informational only — `--check`
+/// never reads it.
+fn host_stamp(out: &mut String) {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(
+        out,
+        "  \"host\": {{ \"nproc\": {nproc}, \"rustc\": \"{}\", \"profile\": \"{}\" }},",
+        env!("CRYPTEXT_BENCH_RUSTC"),
+        env!("CRYPTEXT_BENCH_PROFILE")
+    );
+}
+
 fn json_block(out: &mut String, name: &str, m: &Measured, hits_key: &str, last: bool) {
     let _ = writeln!(out, "    \"{name}\": {{");
     let _ = writeln!(out, "      \"queries_per_sec\": {:.1},", m.queries_per_sec);
@@ -211,31 +222,32 @@ fn compute_invariants(
 }
 
 /// Deterministic Bloom-routing statistics of the query mix over one
-/// sharded store: `(shard_walks, skipped_shard_walks)` — how many
+/// store: `(shard_walks, skipped_shard_walks)` — how many
 /// per-shard walks the mix would issue without routing, and how many of
 /// those the per-shard code summaries skip. Pure function of the (seeded)
 /// corpus, so `--check` recomputes and pins it.
-fn skip_stats(wide: &ShardedTokenDatabase, queries: &[&str]) -> (usize, usize) {
+fn skip_stats(wide: &TokenDatabase, queries: &[&str]) -> (usize, usize) {
     let params = LookupParams::paper_default();
     let mut query = EncodedQuery::new();
     let mut walks = 0usize;
     let mut skipped = 0usize;
     for q in queries {
         query.encode(q, params.k).expect("valid level");
-        walks += cryptext_core::TokenStore::num_shards(wide);
+        walks += wide.num_shards();
         skipped += wide.skipped_shards(&query);
     }
     (walks, skipped)
 }
 
-/// The sharded-backend half of the bench smoke: for every entry of
-/// [`SHARD_COUNTS`], the sharded store must retrieve exactly the same hit
-/// count as the single instance — the byte-identical contract, recomputed
-/// live in CI rather than trusted from the committed file — and the
-/// committed skip-rate fields (`shard_walks` / `skipped_shard_walks`) must
-/// match the routing recomputed over the live Bloom summaries.
+/// The shard-count half of the bench smoke: for every entry of
+/// [`SHARD_COUNTS`], the store built at that count must retrieve exactly
+/// the same hit count as one shard — the byte-identical contract,
+/// recomputed live in CI rather than trusted from the committed file —
+/// and the committed skip-rate fields (`shard_walks` /
+/// `skipped_shard_walks`) must match the routing recomputed over the live
+/// Bloom summaries.
 fn check_sharded(
-    db: &TokenDatabase,
+    platform: &cryptext_stream::SocialPlatform,
     queries: &[&str],
     expected_hits: usize,
     lookup_json: &str,
@@ -254,7 +266,7 @@ fn check_sharded(
         ));
     }
     for (i, n) in SHARD_COUNTS.into_iter().enumerate() {
-        let wide = ShardedTokenDatabase::from_database(db, n);
+        let wide = build_db_with_shards(platform, n);
         let mut scratch = LookupScratch::new();
         let hits: usize = queries
             .iter()
@@ -262,7 +274,7 @@ fn check_sharded(
             .sum();
         if hits != expected_hits {
             return Err(format!(
-                "sharded backend ({n} shards) retrieved {hits} hits, single instance {expected_hits}"
+                "{n}-shard store retrieved {hits} hits, one shard {expected_hits}"
             ));
         }
         let (walks, skipped) = skip_stats(&wide, queries);
@@ -1044,8 +1056,8 @@ fn check_committed(expected: &Invariants) -> Result<String, String> {
 
     // The shards dimension must be present and cover exactly SHARD_COUNTS
     // (each entry's total_hits was already validated above — every
-    // "total_hits" in the file, sharded entries included, must equal the
-    // recomputed single-instance count).
+    // "total_hits" in the file, shard entries included, must equal the
+    // recomputed one-shard count).
     let committed_shards = extract_ints(&lookup_json, "shards");
     let want_shards: Vec<u64> = SHARD_COUNTS.iter().map(|&n| n as u64).collect();
     if committed_shards != want_shards {
@@ -1094,7 +1106,7 @@ fn main() {
         let invariants = compute_invariants(db, &cx, &queries, &norm_texts);
         match check_committed(&invariants)
             .and_then(|lookup_json| {
-                check_sharded(db, &queries, invariants.hits_per_round, &lookup_json)
+                check_sharded(&platform, &queries, invariants.hits_per_round, &lookup_json)
             })
             .and_then(|()| check_ingest(&texts))
             .and_then(|()| check_service())
@@ -1205,17 +1217,16 @@ fn main() {
     );
     let lookup_speedup = naive.p50_us / optimized.p50_us;
 
-    // The shards dimension: the same workload over the consistent-hash
-    // sharded backend at every configured count. Byte-identical results
-    // are asserted (total_hits), the single-shard entry doubles as the
-    // trait-indirection regression guard against `optimized`, and each
-    // entry records the Bloom routing's deterministic skip statistics
-    // (shard walks issued vs skipped) plus the fan-out width available to
-    // the per-query parallel walk on this machine.
+    // The shards dimension: the same workload over a store built from
+    // the same corpus at every configured count. Byte-identical results
+    // are asserted (total_hits), and each entry records the Bloom
+    // routing's deterministic skip statistics (shard walks issued vs
+    // skipped) plus the fan-out width available to the per-query parallel
+    // walk on this machine.
     let sharded_measurements: Vec<(usize, Measured, usize, usize)> = SHARD_COUNTS
         .iter()
         .map(|&n| {
-            let wide = ShardedTokenDatabase::from_database(db, n);
+            let wide = build_db_with_shards(&platform, n);
             let mut scratch = LookupScratch::new();
             for _ in 0..WARMUP_ROUNDS {
                 for q in &queries {
@@ -1227,7 +1238,7 @@ fn main() {
             });
             assert_eq!(
                 m.total_hits, optimized.total_hits,
-                "{n}-shard backend must retrieve identical result sets"
+                "{n}-shard store must retrieve identical result sets"
             );
             let (walks, skipped) = skip_stats(&wide, &queries);
             (n, m, walks, skipped)
@@ -1282,6 +1293,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"lookup\",");
+    host_stamp(&mut out);
     let _ = writeln!(
         out,
         "  \"corpus\": {{ \"posts\": {N_POSTS}, \"seed\": {SEED} }},"
@@ -1336,6 +1348,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"normalize\",");
+    host_stamp(&mut out);
     let _ = writeln!(
         out,
         "  \"corpus\": {{ \"posts\": {N_POSTS}, \"seed\": {SEED}, \"texts\": {NORM_TEXTS}, \"rounds\": {NORM_ROUNDS} }},"
@@ -1356,6 +1369,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"ingest\",");
+    host_stamp(&mut out);
     let _ = writeln!(
         out,
         "  \"corpus\": {{ \"posts\": {N_POSTS}, \"seed\": {SEED} }},"
@@ -1428,6 +1442,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"service\",");
+    host_stamp(&mut out);
     let _ = writeln!(
         out,
         "  \"gateway\": {{ \"storm_max_concurrent\": {}, \"storm_max_queued\": {} }},",
@@ -1464,6 +1479,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"cache\",");
+    host_stamp(&mut out);
     let _ = writeln!(
         out,
         "  \"corpus\": {{ \"posts\": {N_POSTS}, \"seed\": {SEED} }},"
@@ -1523,6 +1539,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"http\",");
+    host_stamp(&mut out);
     let _ = writeln!(
         out,
         "  \"workload\": {{ \"queries\": {}, \"rounds\": {HTTP_ROUNDS} }},",

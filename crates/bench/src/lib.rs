@@ -30,7 +30,13 @@ pub fn build_platform_with(n_posts: usize, seed: u64, corpus: CorpusConfig) -> S
 /// Build a lexicon-seeded token database from a platform feed (what the
 /// crawler produces in production).
 pub fn build_db(platform: &SocialPlatform) -> TokenDatabase {
-    let mut db = TokenDatabase::with_lexicon();
+    build_db_with_shards(platform, 1)
+}
+
+/// [`build_db`] over `shards` consistent-hash shards.
+pub fn build_db_with_shards(platform: &SocialPlatform, shards: usize) -> TokenDatabase {
+    let mut db = TokenDatabase::with_shards(shards);
+    db.seed_lexicon();
     for post in platform.posts() {
         db.ingest_text(&post.text);
         // Gold clean text doubles as LM training material.

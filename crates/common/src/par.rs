@@ -280,8 +280,14 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = max_threads().min(items.len());
-    if workers <= 1 || items.len() < MIN_PARALLEL_ITEMS || IS_POOL_WORKER.with(|flag| flag.get()) {
+    // The cheap checks first: `max_threads` reads the environment and the
+    // CPU quota on every call, which a one-item map must not pay for.
+    let workers = if items.len() < MIN_PARALLEL_ITEMS || IS_POOL_WORKER.with(|flag| flag.get()) {
+        1
+    } else {
+        max_threads().min(items.len())
+    };
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
     par_map_pooled(items, workers, f)

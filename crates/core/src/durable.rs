@@ -9,9 +9,8 @@
 //! logs**:
 //!
 //! * **One delta log per shard** — each ingest batch scatters its applied
-//!   `(token, +count)` upserts into the logs of the shards that own them
-//!   (a flat [`TokenDatabase`] is one shard). An append is O(batch), not
-//!   O(corpus).
+//!   `(token, +count)` upserts into the logs of the [`TokenDatabase`]
+//!   shards that own them. An append is O(batch), not O(corpus).
 //! * **Two-phase batch commit** — the per-shard frames carry a monotonic
 //!   `batch_seq`; a record in the separate **commit log**, appended
 //!   *after* every shard frame, is the batch's atomicity point. Recovery
@@ -25,9 +24,10 @@
 //!   counts, same codes), so the recovered store is byte-identical to one
 //!   that never crashed.
 //! * **Compaction** — [`DurableTokenStore::compact`] folds the logs into
-//!   a fresh epoch snapshot (`tokens__e{E}`, written with the crash-safe
-//!   staged persist, whose records go to the docstore WAL in one batched
-//!   append), atomically swaps the `tokens__ingest` manifest
+//!   a fresh epoch snapshot (`tokens__e{E}`, written with the store's
+//!   crash-safe [`TokenDatabase::persist_to`], whose records go to the
+//!   docstore WAL in one batched append per shard), atomically swaps the
+//!   `tokens__ingest` manifest
 //!   (epoch, shard count, `included_batch`) via a staging-collection
 //!   rename, then truncates the logs and sweeps stale epochs. The
 //!   manifest swap is the only commit point; `batch_seq` never resets, so
@@ -35,7 +35,7 @@
 //!   watermark on the next open.
 //! * **Live resharding** — [`DurableTokenStore::grow_one_shard`] compacts
 //!   at N shards, grows the in-memory store (moving only jump-hash
-//!   movers, see [`ShardedTokenDatabase::grow_one_shard`]), opens the new
+//!   movers, see [`TokenDatabase::grow_one_shard`]), opens the new
 //!   shard's log, and compacts again at N+1. The second compaction's
 //!   manifest swap commits the reshard; a crash anywhere else recovers at
 //!   N shards with nothing lost and the grow simply reruns.
@@ -71,11 +71,9 @@ use cryptext_common::metrics::{Histogram, MetricsRegistry};
 use cryptext_common::{Error, Result};
 use cryptext_docstore::wal::{read_frames, FrameWriter};
 use cryptext_docstore::{Database, DbOptions, Document, Filter, Value};
-use cryptext_phonetics::CustomSoundex;
 use cryptext_tokenizer::tokenize_spans;
 
 use crate::database::{EncodedQuery, SoundScratch, TokenDatabase, TokenRecord, TokenStats};
-use crate::shard::ShardedTokenDatabase;
 use crate::store::TokenStore;
 
 /// The manifest collection: one document holding `epoch`, `shards`, and
@@ -88,62 +86,6 @@ const MANIFEST_STAGING: &str = "tokens__ingest_staging";
 const FRAME_DELTAS: u8 = 1;
 /// Shard-frame kind: seed this shard's slice of the English lexicon.
 const FRAME_SEED: u8 = 2;
-
-/// A [`TokenStore`] whose ingest the durable layer can log and replay.
-///
-/// The contract: `apply_upsert(token, 1)` in scatter order reproduces the
-/// store's own ingest application exactly (both backends funnel into the
-/// same `upsert_token`), and `route_token` is the stable shard assignment
-/// the delta logs are keyed by.
-pub trait DeltaStore: TokenStore + Sized {
-    /// An empty store over `shards` shards (ignored by single-instance
-    /// backends).
-    fn fresh(shards: usize) -> Self;
-    /// The delta log that owns `token`'s upserts (always 0 for a single
-    /// instance).
-    fn route_token(&self, token: &str) -> usize;
-    /// Apply one replayed count delta (insert-or-increment).
-    fn apply_upsert(&mut self, token: &str, delta: u64);
-    /// Seed the slice of the English lexicon owned by `shard` — the exact
-    /// subsequence a live [`TokenStore::seed_lexicon`] routes there.
-    fn seed_shard(&mut self, shard: usize);
-}
-
-impl DeltaStore for TokenDatabase {
-    fn fresh(_shards: usize) -> Self {
-        TokenDatabase::in_memory()
-    }
-
-    fn route_token(&self, _token: &str) -> usize {
-        0
-    }
-
-    fn apply_upsert(&mut self, token: &str, delta: u64) {
-        self.upsert_token(token, delta);
-    }
-
-    fn seed_shard(&mut self, _shard: usize) {
-        TokenDatabase::seed_lexicon(self);
-    }
-}
-
-impl DeltaStore for ShardedTokenDatabase {
-    fn fresh(shards: usize) -> Self {
-        ShardedTokenDatabase::in_memory(shards)
-    }
-
-    fn route_token(&self, token: &str) -> usize {
-        self.route(token)
-    }
-
-    fn apply_upsert(&mut self, token: &str, delta: u64) {
-        self.upsert_routed(token, delta);
-    }
-
-    fn seed_shard(&mut self, shard: usize) {
-        self.seed_lexicon_shard(shard);
-    }
-}
 
 /// Tuning knobs for [`DurableTokenStore::open`].
 #[derive(Debug, Clone, Copy)]
@@ -173,10 +115,11 @@ enum FrameBody {
     SeedLexicon,
 }
 
-/// A crash-recoverable token store: an in-memory [`DeltaStore`] backed by
-/// per-shard delta logs, a commit log, and epoch snapshots in an embedded
-/// docstore. See the module docs for the protocol.
-pub struct DurableTokenStore<S: DeltaStore> {
+/// A crash-recoverable token store: an in-memory [`TokenDatabase`] backed
+/// by per-shard delta logs, a commit log, and epoch snapshots in an
+/// embedded docstore. See the module docs for the protocol. The type
+/// parameter only ever names [`TokenDatabase`].
+pub struct DurableTokenStore<S = TokenDatabase> {
     inner: S,
     store: Database,
     dir: PathBuf,
@@ -197,7 +140,7 @@ pub struct DurableTokenStore<S: DeltaStore> {
     compact_us: Histogram,
 }
 
-impl<S: DeltaStore> DurableTokenStore<S> {
+impl DurableTokenStore {
     /// Open (or create) a durable store rooted at `dir`, recovering state
     /// from the newest epoch snapshot plus committed delta-log replay. A
     /// torn log tail — a crash mid-append — is truncated so post-crash
@@ -218,9 +161,9 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         };
 
         let mut inner = if epoch == 0 {
-            S::fresh(shards)
+            TokenDatabase::with_shards(shards)
         } else {
-            S::load_from(&store, &Self::epoch_collection(epoch))?
+            TokenDatabase::load_from(&store, &Self::epoch_collection(epoch))?
         };
 
         // Gather committed batch sequences, tolerating a torn commit-log
@@ -256,10 +199,10 @@ impl<S: DeltaStore> DurableTokenStore<S> {
             match body {
                 FrameBody::Deltas(ops) => {
                     for (token, delta) in ops {
-                        inner.apply_upsert(&token, delta);
+                        inner.upsert_routed(&token, delta);
                     }
                 }
-                FrameBody::SeedLexicon => inner.seed_shard(s),
+                FrameBody::SeedLexicon => inner.seed_lexicon_shard(s),
             }
         }
 
@@ -291,12 +234,12 @@ impl<S: DeltaStore> DurableTokenStore<S> {
     }
 
     /// The recovered/live in-memory store.
-    pub fn inner(&self) -> &S {
+    pub fn inner(&self) -> &TokenDatabase {
         &self.inner
     }
 
     /// Consume the wrapper, keeping the in-memory store.
-    pub fn into_inner(self) -> S {
+    pub fn into_inner(self) -> TokenDatabase {
         self.inner
     }
 
@@ -466,7 +409,7 @@ impl<S: DeltaStore> DurableTokenStore<S> {
                         if sx.encode(t).is_none() {
                             seen.insert(t.to_string(), None);
                         } else {
-                            let s = self.inner.route_token(t);
+                            let s = self.inner.route(t);
                             per_shard[s].push((t.to_string(), 1));
                             seen.insert(t.to_string(), Some((s, per_shard[s].len() - 1)));
                         }
@@ -500,11 +443,7 @@ impl<S: DeltaStore> DurableTokenStore<S> {
 
     /// Durably ingest one text as one batch. On `Err` nothing was applied.
     pub fn try_ingest_text(&mut self, text: &str) -> Result<usize> {
-        self.ensure_live()?;
-        let per_shard = self.batch_ops(std::iter::once(text))?;
-        let frames = self.delta_frames(&per_shard);
-        self.log_batch(frames)?;
-        Ok(self.inner.ingest_text(text))
+        self.try_ingest_texts(&[text])
     }
 
     /// Durably ingest one raw token occurrence (its own tiny batch).
@@ -513,7 +452,7 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         if token.chars().count() < 2 || self.inner.soundex(0)?.encode(token).is_none() {
             return Ok(()); // gated out: nothing to log or apply
         }
-        let s = self.inner.route_token(token);
+        let s = self.inner.route(token);
         let frame = encode_delta_frame(self.next_batch, &[(token.to_string(), 1)]);
         self.log_batch(vec![(s, frame)])?;
         self.inner.ingest_token(token);
@@ -536,9 +475,10 @@ impl<S: DeltaStore> DurableTokenStore<S> {
     /// Fold the delta logs into a fresh epoch snapshot and truncate them.
     ///
     /// Steps: (1) persist the in-memory store under `tokens__e{E+1}`
-    /// (itself a staged, crash-safe persist: every record of a shard is
-    /// logged to the docstore WAL in one batched append — one frame per
-    /// record, one flush — and no secondary index is built); (2)
+    /// (itself a crash-safe persist committed by its own manifest swap:
+    /// every record of a shard is logged to the docstore WAL in one batched
+    /// append — one frame per record, one flush — and no secondary index
+    /// is built); (2)
     /// atomically swap the manifest — the commit point; (3) truncate the
     /// logs; (4) sweep stale epochs and checkpoint the docstore. A crash
     /// before (2), including one that tears the batched append at any
@@ -588,13 +528,11 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         }
         self.store.checkpoint()
     }
-}
 
-impl DurableTokenStore<ShardedTokenDatabase> {
     /// Grow the durable store by one shard while keeping every guarantee:
     /// compact at N (so no N-routed frame outlives the old routing), grow
     /// the in-memory store (movers only — see
-    /// [`ShardedTokenDatabase::grow_one_shard`]), open the new shard's
+    /// [`TokenDatabase::grow_one_shard`]), open the new shard's
     /// log, and compact at N+1. The second compaction's manifest swap is
     /// the reshard's commit point: a crash anywhere earlier recovers at N
     /// shards with all data, and the grow reruns. Returns the number of
@@ -627,7 +565,7 @@ impl DurableTokenStore<ShardedTokenDatabase> {
 /// store; writes go through the durable `try_*` paths and, on a log
 /// failure, apply **nothing** (the handle is poisoned — see
 /// [`DurableTokenStore::poisoned`] — and a batch is never half-applied).
-impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
+impl TokenStore for DurableTokenStore {
     fn num_shards(&self) -> usize {
         self.inner.num_shards()
     }
@@ -697,14 +635,6 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
         self.inner.clean_sentences()
     }
 
-    fn soundex(&self, k: usize) -> Result<&CustomSoundex> {
-        self.inner.soundex(k)
-    }
-
-    fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>> {
-        self.inner.hashmap_view(k)
-    }
-
     fn ingest_token(&mut self, token: &str) {
         let _ = self.try_ingest_token(token);
     }
@@ -725,19 +655,6 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
 
     fn seed_lexicon(&mut self) {
         let _ = self.try_seed_lexicon();
-    }
-
-    fn persist_to(&self, store: &Database, collection: &str) -> Result<()> {
-        // A monolithic export of the current state — unrelated to the
-        // store's own epoch snapshots (and pinned byte-identical to a
-        // never-crashed store's export by the recovery tests).
-        self.inner.persist_to(store, collection)
-    }
-
-    fn load_from(_store: &Database, _collection: &str) -> Result<Self> {
-        Err(Error::invalid(
-            "DurableTokenStore recovers via DurableTokenStore::open, not load_from",
-        ))
     }
 }
 
@@ -879,15 +796,15 @@ mod tests {
 
     /// The reference state after the first `k` ingest batches (compactions
     /// are state-neutral), built through the ordinary in-memory path.
-    fn prefix_store<S: DeltaStore>(shards: usize, k: usize) -> S {
-        let mut db = S::fresh(shards);
+    fn prefix_store(shards: usize, k: usize) -> TokenDatabase {
+        let mut db = TokenDatabase::with_shards(shards);
         for batch in &ingest_batches()[..k] {
-            TokenStore::ingest_texts(&mut db, batch);
+            db.ingest_texts(batch);
         }
         db
     }
 
-    fn apply<S: DeltaStore>(db: &mut DurableTokenStore<S>, step: &Step) -> Result<()> {
+    fn apply(db: &mut DurableTokenStore, step: &Step) -> Result<()> {
         match step {
             Step::Ingest(batch) => {
                 db.try_ingest_texts(batch)?;
@@ -897,30 +814,45 @@ mod tests {
         Ok(())
     }
 
-    fn same_flat(a: &TokenDatabase, b: &TokenDatabase) -> bool {
-        a.records() == b.records()
+    /// Byte-identical stores: same shard count, same records in the same
+    /// local-id order in every shard.
+    fn same(a: &TokenDatabase, b: &TokenDatabase) -> bool {
+        a.num_shards() == b.num_shards()
+            && (0..a.num_shards()).all(|s| a.shard(s).records() == b.shard(s).records())
     }
 
-    fn same_sharded(a: &ShardedTokenDatabase, b: &ShardedTokenDatabase) -> bool {
-        TokenStore::num_shards(a) == TokenStore::num_shards(b)
-            && (0..TokenStore::num_shards(a)).all(|s| a.shard(s).records() == b.shard(s).records())
+    /// Run `f` on a pool worker, where `par_map` runs inline: every write
+    /// boundary of a multi-shard persist then lands on one thread, so a
+    /// thread-local failpoint sweep reaches all of them, deterministically.
+    fn on_pool_worker<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let job = move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        };
+        if cryptext_common::par::spawn_long_lived(job).is_err() {
+            panic!("the worker pool refused the sweep");
+        }
+        match rx.recv().expect("the sweep job reports back") {
+            Ok(v) => v,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
     }
 
-    /// Kill the process model at every caller-thread write boundary of the
-    /// mixed workload (wildcard failpoint, hit 1, 2, 3, …): after each
-    /// crash, recovery must land byte-identical on some committed-batch
-    /// prefix — never losing a committed batch, never surfacing a
-    /// half-applied one — and resuming the missing batches must reach the
-    /// uninterrupted reference exactly.
-    fn crash_sweep<S: DeltaStore>(tag: &str, shards: usize, same: fn(&S, &S) -> bool) {
+    /// Kill the process model at every write boundary of the mixed
+    /// workload (wildcard failpoint, hit 1, 2, 3, …): after each crash,
+    /// recovery must land byte-identical on some committed-batch prefix —
+    /// never losing a committed batch, never surfacing a half-applied one —
+    /// and resuming the missing batches must reach the uninterrupted
+    /// reference exactly.
+    fn crash_sweep(shards: usize) {
         let n_batches = ingest_batches().len();
-        let full: S = prefix_store(shards, n_batches);
+        let full = prefix_store(shards, n_batches);
 
         // A clean run counts the boundaries the sweep must cover.
-        let dir = tmp_dir(&format!("sweep-{tag}-count"));
+        let dir = tmp_dir(&format!("sweep-{shards}-count"));
         failpoint::reset_hits();
         {
-            let mut db = DurableTokenStore::<S>::open(&dir, opts(shards)).unwrap();
+            let mut db = DurableTokenStore::open(&dir, opts(shards)).unwrap();
             for step in &WORKLOAD {
                 apply(&mut db, step).unwrap();
             }
@@ -933,12 +865,12 @@ mod tests {
         );
 
         for i in 1..=total {
-            let dir = tmp_dir(&format!("sweep-{tag}-{i}"));
+            let dir = tmp_dir(&format!("sweep-{shards}-{i}"));
             failpoint::reset_hits();
             let guard = failpoint::arm("*", &format!("kill@{i}"));
             let mut applied = 0usize;
             let outcome = (|| -> Result<()> {
-                let mut db = DurableTokenStore::<S>::open(&dir, opts(shards))?;
+                let mut db = DurableTokenStore::open(&dir, opts(shards))?;
                 for step in &WORKLOAD {
                     apply(&mut db, step)?;
                     if matches!(step, Step::Ingest(_)) {
@@ -948,11 +880,10 @@ mod tests {
                 Ok(())
             })();
             drop(guard);
-            if let Err(e) = &outcome {
-                assert!(failpoint::is_injected(e), "kill@{i}: unexpected error {e}");
-            }
+            let e = outcome.expect_err("every counted boundary is reached");
+            assert!(failpoint::is_injected(&e), "kill@{i}: unexpected error {e}");
 
-            let mut db = DurableTokenStore::<S>::open(&dir, opts(shards))
+            let mut db = DurableTokenStore::open(&dir, opts(shards))
                 .unwrap_or_else(|e| panic!("kill@{i}: recovery must never fail: {e}"));
             let k = (0..=n_batches)
                 .find(|&k| same(&prefix_store(shards, k), db.inner()))
@@ -967,9 +898,6 @@ mod tests {
                 k <= applied + 1,
                 "kill@{i}: more than the in-flight batch became visible"
             );
-            if outcome.is_ok() {
-                assert_eq!(k, n_batches, "kill@{i}: a clean run keeps every batch");
-            }
 
             // Resume the batches the crash cost and land on the reference.
             for batch in &ingest_batches()[k..] {
@@ -977,7 +905,7 @@ mod tests {
             }
             db.compact().unwrap();
             drop(db);
-            let db = DurableTokenStore::<S>::open(&dir, opts(shards)).unwrap();
+            let db = DurableTokenStore::open(&dir, opts(shards)).unwrap();
             assert!(
                 same(&full, db.inner()),
                 "kill@{i}: resumed state diverges from the reference"
@@ -987,31 +915,24 @@ mod tests {
     }
 
     #[test]
-    fn kill_at_every_boundary_flat_recovers_a_committed_prefix() {
-        crash_sweep::<TokenDatabase>("flat", 1, same_flat);
-    }
-
-    #[test]
-    fn kill_at_every_boundary_sharded_recovers_a_committed_prefix() {
-        crash_sweep::<ShardedTokenDatabase>("sharded", 2, same_sharded);
+    fn kill_at_every_boundary_recovers_a_committed_prefix() {
+        for shards in [1, 2] {
+            on_pool_worker(move || crash_sweep(shards));
+        }
     }
 
     /// Kill or tear the docstore WAL at every frame one `compact()`
-    /// writes — the staging collection, each record of the batched epoch
-    /// persist, the commit rename, the manifest swap and the stale-epoch
-    /// sweep. Compaction changes no data, so every crash must recover
-    /// byte-identical to the pre-compaction committed state, and a clean
-    /// compaction after recovery must keep it. One shard keeps the whole
-    /// persist on the calling thread, where the thread-local arm reaches
-    /// every frame; with several shards it runs on pool workers, which
-    /// the CI `CRYPTEXT_FAILPOINTS` tear arm covers.
-    fn compaction_batch_sweep<S: DeltaStore>(tag: &str, same: fn(&S, &S) -> bool) {
-        let shards = 1;
+    /// writes — each shard collection and every record of its batched
+    /// append, the epoch snapshot's manifest swap, the durable manifest
+    /// swap and the stale-epoch sweep. Compaction changes no data, so every
+    /// crash must recover byte-identical to the pre-compaction committed
+    /// state, and a clean compaction after recovery must keep it.
+    fn compaction_batch_sweep(shards: usize) {
         let batches = ingest_batches();
-        let want: S = prefix_store(shards, batches.len());
+        let want = prefix_store(shards, batches.len());
         // An earlier epoch, so the swept compaction also drops one.
-        let prepare = |dir: &Path| -> DurableTokenStore<S> {
-            let mut db = DurableTokenStore::<S>::open(dir, opts(shards)).unwrap();
+        let prepare = |dir: &Path| -> DurableTokenStore {
+            let mut db = DurableTokenStore::open(dir, opts(shards)).unwrap();
             db.try_ingest_texts(batches[0]).unwrap();
             db.compact().unwrap();
             for batch in &batches[1..] {
@@ -1020,14 +941,14 @@ mod tests {
             db
         };
 
-        let dir = tmp_dir(&format!("compact-sweep-{tag}-count"));
+        let dir = tmp_dir(&format!("compact-sweep-{shards}-count"));
         let mut db = prepare(&dir);
         failpoint::reset_hits();
         db.compact().unwrap();
         let frames = failpoint::hits("wal.append");
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
-        let records = TokenStore::unique_tokens(&want) as u64;
+        let records = want.unique_tokens() as u64;
         assert!(
             frames > records,
             "compaction logs every record, got {frames} frames for {records}"
@@ -1039,7 +960,7 @@ mod tests {
                 format!("torn@{i}:3"),
                 format!("torn@{i}:13"),
             ] {
-                let dir = tmp_dir(&format!("compact-sweep-{tag}-{i}"));
+                let dir = tmp_dir(&format!("compact-sweep-{shards}-{i}"));
                 let mut db = prepare(&dir);
                 failpoint::reset_hits();
                 let guard = failpoint::arm("wal.append", &spec);
@@ -1055,12 +976,12 @@ mod tests {
                 );
                 drop(db);
 
-                let mut db = DurableTokenStore::<S>::open(&dir, opts(shards))
+                let mut db = DurableTokenStore::open(&dir, opts(shards))
                     .unwrap_or_else(|e| panic!("{spec}: recovery must never fail: {e}"));
                 assert!(same(&want, db.inner()), "{spec}: recovered state diverges");
                 db.compact().unwrap();
                 drop(db);
-                let db = DurableTokenStore::<S>::open(&dir, opts(shards)).unwrap();
+                let db = DurableTokenStore::open(&dir, opts(shards)).unwrap();
                 assert!(
                     same(&want, db.inner()),
                     "{spec}: recompacted state diverges"
@@ -1071,28 +992,24 @@ mod tests {
     }
 
     #[test]
-    fn crash_at_every_frame_of_a_compaction_batch_flat() {
-        compaction_batch_sweep::<TokenDatabase>("flat", same_flat);
-    }
-
-    #[test]
-    fn crash_at_every_frame_of_a_compaction_batch_sharded() {
-        compaction_batch_sweep::<ShardedTokenDatabase>("sharded", same_sharded);
+    fn crash_at_every_frame_of_a_compaction_batch() {
+        for shards in [1, 2] {
+            on_pool_worker(move || compaction_batch_sweep(shards));
+        }
     }
 
     #[test]
     fn uncompacted_batches_survive_reopen() {
-        let dir = tmp_dir("reopen-flat");
+        let dir = tmp_dir("reopen");
         {
-            let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+            let mut dur = DurableTokenStore::open(&dir, opts(1)).unwrap();
             for batch in &ingest_batches() {
                 dur.try_ingest_texts(batch).unwrap();
             }
             assert_eq!(dur.epoch(), 0, "no compaction ran");
         }
-        let dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
-        let want: TokenDatabase = prefix_store(1, ingest_batches().len());
-        assert_eq!(dur.inner().records(), want.records());
+        let dur = DurableTokenStore::open(&dir, opts(1)).unwrap();
+        assert!(same(&prefix_store(1, ingest_batches().len()), dur.inner()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1100,41 +1017,40 @@ mod tests {
     fn compaction_folds_logs_and_preserves_state() {
         let dir = tmp_dir("compact");
         let batches = ingest_batches();
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let mut dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
         dur.try_ingest_texts(batches[0]).unwrap();
         dur.try_ingest_texts(batches[1]).unwrap();
         assert_eq!(dur.epoch(), 0);
         dur.compact().unwrap();
         assert_eq!(dur.epoch(), 1);
         for s in 0..2 {
-            let p = DurableTokenStore::<ShardedTokenDatabase>::log_path_in(&dir, s);
+            let p = DurableTokenStore::log_path_in(&dir, s);
             assert_eq!(
                 std::fs::metadata(&p).unwrap().len(),
                 0,
                 "delta log {s} truncated after compaction"
             );
         }
-        let cp = DurableTokenStore::<ShardedTokenDatabase>::commit_path_in(&dir);
+        let cp = DurableTokenStore::commit_path_in(&dir);
         assert_eq!(std::fs::metadata(&cp).unwrap().len(), 0);
 
         // Post-compaction batches replay on top of the epoch snapshot.
         dur.try_ingest_texts(batches[2]).unwrap();
         dur.try_ingest_texts(batches[3]).unwrap();
         drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
         assert_eq!(dur.epoch(), 1);
-        let want: ShardedTokenDatabase = prefix_store(2, 4);
-        assert!(same_sharded(&want, dur.inner()));
+        assert!(same(&prefix_store(2, 4), dur.inner()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The ISSUE acceptance pin: a recovered delta-log store is
-    /// byte-identical to a monolithic persist/load of the same final state.
+    /// A recovered delta-log store is byte-identical to a monolithic
+    /// persist/load of the same final state.
     #[test]
     fn recovered_state_matches_monolithic_persist_round_trip() {
         let dir = tmp_dir("monolithic");
         let batches = ingest_batches();
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
+        let mut dur = DurableTokenStore::open(&dir, opts(3)).unwrap();
         dur.try_ingest_texts(batches[0]).unwrap();
         dur.try_ingest_texts(batches[1]).unwrap();
         dur.compact().unwrap();
@@ -1143,19 +1059,19 @@ mod tests {
 
         // Monolithic export of the live state, round-tripped.
         let mono = Database::in_memory();
-        TokenStore::persist_to(&dur, &mono, "tokens").unwrap();
-        let mono_loaded = ShardedTokenDatabase::load_from(&mono, "tokens").unwrap();
+        dur.inner().persist_to(&mono, "tokens").unwrap();
+        let mono_loaded = TokenDatabase::load_from(&mono, "tokens").unwrap();
 
         drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
-        assert!(same_sharded(&mono_loaded, dur.inner()));
+        let dur = DurableTokenStore::open(&dir, opts(3)).unwrap();
+        assert!(same(&mono_loaded, dur.inner()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_append_poisons_handle_until_reopen() {
         let dir = tmp_dir("torn");
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut dur = DurableTokenStore::open(&dir, opts(1)).unwrap();
         dur.try_ingest_text("the dirrty republicans").unwrap();
 
         failpoint::reset_hits();
@@ -1169,55 +1085,57 @@ mod tests {
         // tail, so appending would shadow later frames from recovery.
         assert!(dur.try_ingest_text("mandate").is_err());
         assert_eq!(TokenStore::ingest_text(&mut dur, "mandate"), 0);
-        assert_eq!(dur.inner().records().len(), 3, "nothing was applied");
+        assert_eq!(dur.inner().unique_tokens(), 3, "nothing was applied");
         drop(dur);
 
         // Reopen truncates the torn tail: pre-batch state, writable again.
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut dur = DurableTokenStore::open(&dir, opts(1)).unwrap();
         assert!(!dur.poisoned());
         let mut want = TokenDatabase::in_memory();
         want.ingest_text("the dirrty republicans");
-        assert_eq!(dur.inner().records(), want.records());
+        assert!(same(&want, dur.inner()));
         dur.try_ingest_text("vacc1ne mandate").unwrap();
         drop(dur);
-        let dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let dur = DurableTokenStore::open(&dir, opts(1)).unwrap();
         want.ingest_text("vacc1ne mandate");
-        assert_eq!(dur.inner().records(), want.records());
+        assert!(same(&want, dur.inner()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gated_tokens_are_neither_logged_nor_applied() {
         let dir = tmp_dir("gated");
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut dur = DurableTokenStore::open(&dir, opts(1)).unwrap();
         dur.try_ingest_token("a").unwrap(); // under the 2-char floor
         dur.try_ingest_token("💀💀").unwrap(); // no phonetic content
-        assert_eq!(dur.inner().records().len(), 0);
-        let log = DurableTokenStore::<TokenDatabase>::log_path_in(&dir, 0);
+        assert_eq!(dur.inner().unique_tokens(), 0);
+        let log = DurableTokenStore::log_path_in(&dir, 0);
         assert_eq!(std::fs::metadata(&log).unwrap().len(), 0, "nothing logged");
 
         dur.try_ingest_token("republicans").unwrap();
-        assert_eq!(dur.inner().records().len(), 1);
+        assert_eq!(dur.inner().unique_tokens(), 1);
         assert!(std::fs::metadata(&log).unwrap().len() > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn seed_lexicon_survives_reopen() {
-        let dir = tmp_dir("seed");
-        {
-            let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
-            dur.try_ingest_text("the dirrty republicans").unwrap();
-            dur.try_seed_lexicon().unwrap();
-            dur.try_ingest_text("vacc1ne mandate").unwrap();
+        for shards in [1, 3] {
+            let dir = tmp_dir(&format!("seed-{shards}"));
+            {
+                let mut dur = DurableTokenStore::open(&dir, opts(shards)).unwrap();
+                dur.try_ingest_text("the dirrty republicans").unwrap();
+                dur.try_seed_lexicon().unwrap();
+                dur.try_ingest_text("vacc1ne mandate").unwrap();
+            }
+            let dur = DurableTokenStore::open(&dir, opts(shards)).unwrap();
+            let mut want = TokenDatabase::with_shards(shards);
+            want.ingest_text("the dirrty republicans");
+            want.seed_lexicon();
+            want.ingest_text("vacc1ne mandate");
+            assert!(same(&want, dur.inner()), "{shards} shards");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
-        let mut want = ShardedTokenDatabase::in_memory(3);
-        TokenStore::ingest_text(&mut want, "the dirrty republicans");
-        TokenStore::seed_lexicon(&mut want);
-        TokenStore::ingest_text(&mut want, "vacc1ne mandate");
-        assert!(same_sharded(&want, dur.inner()));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1231,16 +1149,16 @@ mod tests {
             "thinking about suic1de",
             "suicide prevention matters",
         ];
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let mut dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
         for t in texts {
             dur.try_ingest_text(t).unwrap();
         }
 
-        let mut before_grow = ShardedTokenDatabase::in_memory(2);
-        let mut after_grow = ShardedTokenDatabase::in_memory(2);
+        let mut before_grow = TokenDatabase::with_shards(2);
+        let mut after_grow = TokenDatabase::with_shards(2);
         for t in texts {
-            TokenStore::ingest_text(&mut before_grow, t);
-            TokenStore::ingest_text(&mut after_grow, t);
+            before_grow.ingest_text(t);
+            after_grow.ingest_text(t);
         }
         let moved_want = after_grow.grow_one_shard();
 
@@ -1255,21 +1173,21 @@ mod tests {
         drop(dur);
 
         // Recovery: still 2 shards, nothing lost; the grow simply reruns.
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        assert_eq!(TokenStore::num_shards(dur.inner()), 2);
-        assert!(same_sharded(&before_grow, dur.inner()));
+        let mut dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
+        assert_eq!(dur.inner().num_shards(), 2);
+        assert!(same(&before_grow, dur.inner()));
         let moved = dur.grow_one_shard().unwrap();
         assert_eq!(moved, moved_want);
-        assert_eq!(TokenStore::num_shards(dur.inner()), 3);
-        assert!(same_sharded(&after_grow, dur.inner()));
+        assert_eq!(dur.inner().num_shards(), 3);
+        assert!(same(&after_grow, dur.inner()));
 
         // Post-grow ingest routes under the new ring and survives reopen.
         dur.try_ingest_text("vacc1ne mandate").unwrap();
-        TokenStore::ingest_text(&mut after_grow, "vacc1ne mandate");
+        after_grow.ingest_text("vacc1ne mandate");
         drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        assert_eq!(TokenStore::num_shards(dur.inner()), 3);
-        assert!(same_sharded(&after_grow, dur.inner()));
+        let dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
+        assert_eq!(dur.inner().num_shards(), 3);
+        assert!(same(&after_grow, dur.inner()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1284,11 +1202,11 @@ mod tests {
             seed: 11,
             ..StreamConfig::default()
         });
-        let mut reference = ShardedTokenDatabase::in_memory(2);
+        let mut reference = TokenDatabase::with_shards(2);
         Crawler::new().run_once(&p, &mut reference, 0);
 
         let dir = tmp_dir("crawler");
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let mut dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
         let mut crawler = Crawler::new();
         let mut good_cursor;
         let mut crashes = 0usize;
@@ -1335,12 +1253,12 @@ mod tests {
             "the sweep should crash mid-crawl, got {crashes}"
         );
         assert!(
-            same_sharded(&reference, dur.inner()),
+            same(&reference, dur.inner()),
             "crash/resume crawl must equal the uninterrupted crawl"
         );
         drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        assert!(same_sharded(&reference, dur.inner()));
+        let dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
+        assert!(same(&reference, dur.inner()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1348,7 +1266,7 @@ mod tests {
     fn recovered_store_serves_lookups_through_cryptext() {
         let dir = tmp_dir("cryptext");
         {
-            let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+            let mut dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
             for t in [
                 "the dirrty republicans",
                 "thee dirty repubLIEcans",
@@ -1358,22 +1276,13 @@ mod tests {
             }
             dur.compact().unwrap();
         }
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
         let cx = CrypText::with_store(dur);
         let hits = cx.look_up("republicans", LookupParams::new(1, 1)).unwrap();
         let tokens: Vec<&str> = hits.iter().map(|h| h.token.as_str()).collect();
         assert!(tokens.contains(&"republicans"));
         assert!(tokens.contains(&"repubLIEcans"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_from_refuses_durable_stores() {
-        let store = Database::in_memory();
-        let err = <DurableTokenStore<TokenDatabase> as TokenStore>::load_from(&store, "tokens")
-            .err()
-            .expect("load_from must refuse");
-        assert!(err.to_string().contains("DurableTokenStore::open"));
     }
 }
 

@@ -55,15 +55,15 @@ impl Crawler {
 
     /// Consume every post at or after the cursor, up to `max_posts`
     /// (0 = unlimited). Advances the cursor past the last consumed post.
-    /// Works against any [`TokenStore`] backend — the crawler feeds a
-    /// sharded deployment the same way it feeds a single instance.
+    /// Works against any [`TokenStore`] — a plain or durable store at any
+    /// shard count.
     pub fn run_once<S: TokenStore>(
         &mut self,
         platform: &SocialPlatform,
         db: &mut S,
         max_posts: usize,
     ) -> IngestStats {
-        // The cheap counter, not full stats(): the sharded backend's
+        // The cheap counter, not full stats(): a multi-shard store's
         // per-level sound unions are O(total codes) and unused here.
         let before_unique = db.unique_tokens();
         let mut stats = IngestStats::default();

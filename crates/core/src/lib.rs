@@ -5,8 +5,8 @@
 //!
 //! * [`database::TokenDatabase`] — raw case-sensitive tokens encoded with
 //!   the customized Soundex at phonetic levels `k ∈ {0, 1, 2}`, bucketed
-//!   into the `H_k` hash maps (Table I), persistable to the embedded
-//!   document store.
+//!   into the `H_k` hash maps (Table I) across one or more consistent-hash
+//!   shards, persistable to the embedded document store.
 //! * [`lookup`] — **Look Up** (§III-B): retrieve the perturbation set
 //!   `P_x` of a token under the SMS property (same Sound at level `k`,
 //!   same Meaning via Levenshtein ≤ `d`, different Spelling).
@@ -23,10 +23,11 @@
 //!   from the stream into the database.
 //! * [`service`] — the public-API facade (§III-F): token auth, rate
 //!   limiting, Redis-style result caching, bulk endpoints.
-//! * [`store`] / [`shard`] — the storage abstraction: every engine is
-//!   generic over the [`store::TokenStore`] trait, implemented by the
-//!   single-instance [`database::TokenDatabase`] and the consistent-hash
-//!   [`shard::ShardedTokenDatabase`].
+//! * [`durable`] — crash-recoverable ingest: delta logs and epoch
+//!   snapshots around a [`database::TokenDatabase`].
+//! * [`store`] — the read/ingest contract every engine is generic over,
+//!   [`store::TokenStore`], implemented by [`database::TokenDatabase`] and
+//!   [`durable::DurableTokenStore`].
 
 #![warn(missing_docs)]
 
@@ -39,7 +40,7 @@ pub mod metrics;
 pub mod normalize;
 pub mod perturb;
 pub mod service;
-pub mod shard;
+mod shard;
 pub mod store;
 
 use cryptext_common::Result;
@@ -54,41 +55,29 @@ pub use normalize::{
     CandidateCache, CandidatePairs, NormalizeParams, NormalizeScratch, Normalizer,
 };
 pub use perturb::{PerturbParams, Perturber};
-pub use shard::ShardedTokenDatabase;
-pub use store::{AnyTokenStore, TokenStore};
+pub use store::TokenStore;
 
 /// The assembled CrypText system: a token store plus the language model
-/// used by Normalization. Generic over the storage backend; the default
-/// type parameter keeps single-instance callers (`CrypText::new(db)`)
-/// source-compatible.
+/// used by Normalization. Generic over the [`TokenStore`] so it can also
+/// serve a [`durable::DurableTokenStore`]; the default is the plain
+/// [`TokenDatabase`].
 pub struct CrypText<S: TokenStore = TokenDatabase> {
     db: S,
     lm: cryptext_lm::NgramLm,
 }
 
 impl CrypText<TokenDatabase> {
-    /// Assemble from a single-instance database; the normalization
-    /// language model is trained on the database's accumulated clean
-    /// sentences (see [`TokenDatabase::clean_sentences`]).
+    /// Assemble from a database; the normalization language model is
+    /// trained on the database's accumulated clean sentences (see
+    /// [`TokenDatabase::clean_sentences`]).
     pub fn new(db: TokenDatabase) -> Self {
         Self::with_store(db)
     }
 }
 
-impl CrypText<AnyTokenStore> {
-    /// Assemble from a database wrapped in the `CRYPTEXT_SHARDS`-selected
-    /// backend ([`AnyTokenStore::from_env`]): unchanged for one shard,
-    /// resharded by consistent hashing for `CRYPTEXT_SHARDS > 1`. Both
-    /// backends serve byte-identical results, so callers need not care
-    /// which one they got.
-    pub fn from_env(db: TokenDatabase) -> Self {
-        Self::with_store(AnyTokenStore::from_env(db))
-    }
-}
-
 impl<S: TokenStore> CrypText<S> {
-    /// Assemble from any storage backend, training the normalization
-    /// language model on the store's accumulated clean sentences.
+    /// Assemble from any token store, training the normalization language
+    /// model on the store's accumulated clean sentences.
     pub fn with_store(db: S) -> Self {
         let lm = cryptext_lm::NgramLm::train(db.clean_sentences().iter().map(|s| s.as_str()));
         CrypText { db, lm }

@@ -172,8 +172,8 @@ fn hit_distance(
 /// `f` receives each matching record's id, the borrowed
 /// [`crate::database::TokenRecord`], and its case-folded Levenshtein
 /// distance to the query. Records arrive in **bucket insertion order**
-/// (the order [`TokenDatabase::for_each_sound_mate`] walks postings, shard
-/// by shard for sharded backends), not hit-sorted order; callers that need
+/// (the order [`TokenStore::for_each_sound_mate`] walks postings, shard
+/// by shard), not hit-sorted order; callers that need
 /// the public `(distance, count, token)` ordering should use
 /// [`look_up_with`], which sorts.
 ///
@@ -183,7 +183,7 @@ fn hit_distance(
 /// ASCII query: each candidate's precomputed fold/length comes straight
 /// off its record, a length-difference pre-filter skips hopeless
 /// candidates before any distance work, and the bounded Levenshtein runs
-/// bit-parallel (Myers) through reusable scratch. Sharded backends skip
+/// bit-parallel (Myers) through reusable scratch. Multi-shard stores skip
 /// shards via their Bloom summaries and may fan the per-shard filter work
 /// out across the worker pool — results are byte-identical either way.
 pub fn for_each_hit<'a, S, F>(
@@ -206,8 +206,8 @@ where
 /// [`for_each_hit`] with an early-exit visitor: returning
 /// [`ControlFlow::Break`] stops the retrieval. The visited prefix is
 /// identical to what the non-breaking visitor would have seen — pinned
-/// across backends and across the sequential/parallel fan-out paths by the
-/// proptests in `shard.rs`.
+/// across shard counts and across the sequential/parallel fan-out paths by
+/// the proptests in `database.rs`.
 pub fn for_each_hit_until<'a, S, F>(
     db: &'a S,
     token: &str,
@@ -258,7 +258,7 @@ where
         });
         examined.store(seen, Ordering::Relaxed);
     } else {
-        // Sharded: one encoding feeds every shard; the store may run the
+        // Several shards: one encoding feeds every shard; the store may run the
         // filter map per shard on pool workers (thread-local edit
         // scratch), with Bloom routing skipping shards that cannot match.
         let _ = db.fan_out_sound_mates(
@@ -390,23 +390,30 @@ pub fn look_up_naive(
 }
 
 /// The seed's candidate gathering: linear-scan dedup (`seen.contains`)
-/// over per-code bucket probes — O(candidates²) — kept verbatim so the
-/// naive baseline measures what the engine replaced.
+/// over per-code bucket probes — O(candidates²) per shard — kept verbatim
+/// so the naive baseline measures what the engine replaced. Shards hold
+/// disjoint records, so the per-shard candidate lists simply concatenate.
 fn sound_mates_naive<'a>(
     db: &'a TokenDatabase,
     k: usize,
     token: &str,
 ) -> Result<Vec<&'a TokenRecord>> {
-    let mut seen: Vec<u32> = Vec::new();
-    for code in db.soundex(k)?.encode_all(token) {
-        for &id in db.bucket(k, code.as_str())? {
-            if !seen.contains(&id) {
-                seen.push(id);
+    let codes = db.soundex(k)?.encode_all(token);
+    let mut mates = Vec::new();
+    for s in 0..db.num_shards() {
+        let shard = db.shard(s);
+        let mut seen: Vec<u32> = Vec::new();
+        for code in &codes {
+            for &id in shard.bucket(k, code.as_str()) {
+                if !seen.contains(&id) {
+                    seen.push(id);
+                }
             }
         }
+        let records = shard.records();
+        mates.extend(seen.into_iter().map(|id| &records[id as usize]));
     }
-    let records = db.records();
-    Ok(seen.into_iter().map(|id| &records[id as usize]).collect())
+    Ok(mates)
 }
 
 fn hit_order(a: &LookupHit, b: &LookupHit) -> std::cmp::Ordering {
@@ -564,7 +571,7 @@ mod tests {
             ] {
                 let mut visited: Vec<LookupHit> = Vec::new();
                 for_each_hit(&d, q, params, &mut scratch, |id, rec, distance| {
-                    assert_eq!(d.records()[id as usize], *rec, "id ↔ record agree");
+                    assert_eq!(d.record(id), Some(rec), "id ↔ record agree");
                     visited.push(LookupHit {
                         token: rec.token.clone(),
                         count: rec.count,

@@ -27,9 +27,9 @@
 //! * **Candidates stream through [`for_each_hit`]** — no intermediate
 //!   owned hit vector; non-English records are skipped before any scoring.
 //!   Each out-of-dictionary token is encoded into an
-//!   [`crate::database::EncodedQuery`] exactly once, so a sharded backend
+//!   [`crate::database::EncodedQuery`] exactly once, so a multi-shard store
 //!   walks all of its shards (Bloom-routed, possibly in parallel) on one
-//!   encoding — Normalization inherits the sharded Look Up fan-out wholesale.
+//!   encoding — Normalization inherits the Look Up fan-out wholesale.
 //! * **Candidate words borrow the database** (`Cow::Borrowed` into each
 //!   record's precomputed fold for the ASCII common case); owned `String`s
 //!   are materialized only for the final, truncated candidate list.

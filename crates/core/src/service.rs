@@ -9,9 +9,8 @@
 //! [`CryptextService`] reproduces that contract in-process: API-token
 //! authentication, per-token fixed-window rate limiting over an injected
 //! [`Clock`], a TTL+LRU result cache for Look Up, and bulk endpoints.
-//! The service is generic over the [`TokenStore`] backend, so the same
-//! facade fronts a single-instance database or a consistent-hash sharded
-//! deployment.
+//! The service is generic over the [`TokenStore`], so the same facade
+//! fronts a plain or a durable token database at any shard count.
 //!
 //! # Concurrency
 //!
@@ -1494,25 +1493,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_serves_identical_results() {
-        use crate::shard::ShardedTokenDatabase;
-        let mut db = TokenDatabase::with_lexicon();
-        for s in [
-            "the demokRATs and democrats argue",
-            "repubLIEcans and republicans fight",
-            "the vaccine and the vacc1ne",
-        ] {
-            db.ingest_text(s);
-        }
+    fn sharded_store_serves_identical_results() {
+        let build = |shards| {
+            let mut db = TokenDatabase::with_shards(shards);
+            db.seed_lexicon();
+            for s in [
+                "the demokRATs and democrats argue",
+                "repubLIEcans and republicans fight",
+                "the vaccine and the vacc1ne",
+            ] {
+                db.ingest_text(s);
+            }
+            db
+        };
         let clock = SimClock::new(0);
-        let sharded = ShardedTokenDatabase::from_database(&db, 4);
         let svc_single = CryptextService::new(
-            CrypText::new(db),
+            CrypText::new(build(1)),
             ServiceConfig::default(),
             Arc::new(clock.clone()),
         );
         let svc_sharded = CryptextService::new(
-            CrypText::with_store(sharded),
+            CrypText::new(build(4)),
             ServiceConfig::default(),
             Arc::new(clock.clone()),
         );
@@ -1526,7 +1527,7 @@ mod tests {
             svc_sharded
                 .look_up_bulk(&b, &queries, LookupParams::paper_default())
                 .unwrap(),
-            "bulk Look Up identical across backends"
+            "bulk Look Up identical across shard counts"
         );
         assert_eq!(
             svc_single
@@ -1586,9 +1587,9 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates_every_tier() {
-        use cryptext_cache::LruCacheStore;
+        use cryptext_cache::SharedCacheStore;
         let (mut svc, _) = service(100);
-        let store = Arc::new(LruCacheStore::new(
+        let store = Arc::new(SharedCacheStore::new(
             cryptext_cache::CacheConfig::default(),
             svc.clock(),
         ));

@@ -1,474 +1,254 @@
-//! Consistent-hash sharding of the token database.
+//! One shard of the token database: the crate-private unit
+//! [`crate::database::TokenDatabase`] routes every token to.
 //!
-//! [`ShardedTokenDatabase`] splits the corpus across N independent
-//! [`TokenDatabase`] shards so dictionaries that outgrow one instance
-//! (the paper mines ~3.6M perturbations and keeps growing) scale out
-//! instead of up. The pieces:
+//! A [`Shard`] owns a disjoint slice of the corpus and keeps it in the
+//! layout the Look Up read path (§III-B) wants, since that path touches
+//! every record in a bucket:
 //!
-//! * **Routing** — every token is owned by exactly one shard, selected by
-//!   [`jump_hash`](cryptext_common::hash::jump_hash) over the Fx hash of
-//!   the token's **primary `H_1` Soundex code** (tokens without phonetic
-//!   content fall back to hashing the raw token). Hashing the sound
-//!   rather than the spelling keeps a clean word and the bulk of its
-//!   perturbations colocated, and jump hashing keeps a future shard-count
-//!   change from reshuffling the whole corpus.
-//! * **Shard-local id spaces** — each shard keeps its own dense `u32`
-//!   record ids (the `CodeIndex` postings stay small and cache-friendly);
-//!   the router remaps them to globally unique ids at the
-//!   [`TokenStore`] boundary as `global = local * n_shards + shard`.
-//! * **Reads** — a query is encoded **once** into an
-//!   [`EncodedQuery`] (codes + hashes + fold) and every shard's walk
-//!   shares it; records are disjoint across shards, so no cross-shard
-//!   dedup is needed and results are byte-identical to the
-//!   single-instance backend (proptest-pinned below). `&self` reads are
-//!   lock-free and `Sync`, so bulk endpoints fan out across cores without
-//!   serializing behind any writer.
-//! * **Skip-empty routing** — each shard's per-level code interner keeps a
-//!   [`Bloom`](cryptext_common::hash::Bloom) summary of its code set
-//!   (maintained at intern time, so ingest, resharding, and persist/load
-//!   keep it current for free). A query walks only the shards whose
-//!   summaries admit at least one of its codes
-//!   ([`TokenDatabase::may_match`]); a ruled-out shard could not have
-//!   produced a hit, so skipping it is invisible to results.
-//! * **Per-query parallel fan-out** —
-//!   [`TokenStore::fan_out_sound_mates`] runs the matching shards' walks
-//!   through the [`cryptext_common::par`] pool (per-worker scratch,
-//!   per-shard result buffers) and merges in shard order, so the sink
-//!   observes exactly the sequential walk's sequence — early-exit
-//!   [`ControlFlow`] semantics included. Single-matching-shard queries
-//!   bypass the pool entirely.
-//! * **Batch ingest** — the parallel prepare phase (tokenize, confusable
-//!   fold, 3-level Soundex) runs per text through
-//!   [`cryptext_common::par`], then the prepared words scatter into
-//!   per-shard queues that merge **in parallel, one worker per shard**.
-//! * **Persistence** — one document-store collection per shard plus a
-//!   manifest record carrying the shard count and a **generation**
-//!   number; persist and load fan out across shards through the same
-//!   pool. A persist is crash-safe: the new layout is written first under
-//!   a fresh generation (`{name}__g{g}__shard{i}`), the manifest swap
-//!   (staging collection renamed over the live name — one WAL record) is
-//!   the single commit point, and stale generations are swept only after
-//!   the swap. A crash at any boundary leaves the previous persist fully
-//!   loadable (fault-injection-pinned below).
-//! * **Live resharding** — [`ShardedTokenDatabase::grow_one_shard`] grows
-//!   N→N+1 in place. Jump hashing moves a key only to the *new* shard, so
-//!   ~1/(N+1) of the records relocate (reusing their stored codes, no
-//!   re-encoding) and the result is pinned byte-identical to a fresh
-//!   (N+1)-shard build of the same corpus.
+//! * **Records are a dense `Vec<TokenRecord>`** addressed by a shard-local
+//!   `u32` id. Every index (by-token map, buckets) stores ids, never owned
+//!   strings. The database remaps local ids to store-wide ids as
+//!   `global = local * n_shards + shard`, so at one shard they coincide.
+//! * **Soundex codes are interned per level** in a [`CodeIndex`]: each
+//!   distinct code gets a dense `u32` code id; `H_k` is then plain
+//!   `postings: Vec<Vec<u32>>` indexed by code id, with a side
+//!   `FxHashMap<Box<str>, u32>` used only to resolve a query's code
+//!   string to its id (one probe per query code, not per candidate).
+//! * **Candidate iteration is visitor-based**: [`Shard::for_each_sound_mate`]
+//!   walks the union of a query's bucket postings, deduplicating across
+//!   ambiguous codes with a generation-marked [`SoundScratch`] (O(1) per
+//!   candidate, no per-query set allocation). The visitor may return
+//!   [`ControlFlow::Break`] to stop early.
+//! * **Each per-level code interner keeps a [`Bloom`] summary** of its
+//!   interned codes, current by construction (codes are only interned,
+//!   never removed). [`Shard::may_match`] answers "could any of this
+//!   query's codes be indexed here?" without probing the map — the
+//!   skip-empty shard routing of the database is built on it.
+//!
+//! A shard persists as one document-store collection, one document per
+//! record (`token`, `count`, `is_english`, `codes_k0..`), written through
+//! one batched [`Database::insert_many`]. The `codes_k*` array fields are
+//! stored but not indexed: the only reader is [`Shard::load`], which scans
+//! the collection and checks the stored `codes_k1` against the recomputed
+//! codes. Ad-hoc docstore queries by code still work, by scan.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
-use cryptext_common::failpoint;
-use cryptext_common::hash::{FxHashMap, FxHashSet, ShardRing};
-use cryptext_common::metrics::{Counter, MetricsRegistry};
-use cryptext_common::par::{par_map, try_par_map};
+use cryptext_common::hash::{fx_hash_str, Bloom, FxHashMap};
 use cryptext_common::{Error, Result};
 use cryptext_docstore::{Database, Document, Filter, Value};
 use cryptext_phonetics::{CustomSoundex, SoundexCode};
-use cryptext_tokenizer::tokenize_spans;
-use parking_lot::Mutex;
 
-use crate::database::{
-    EncodedQuery, PreparedWord, SoundScratch, TokenDatabase, TokenRecord, TokenStats,
-    MAX_CLEAN_SENTENCES, NUM_LEVELS,
-};
-use crate::store::TokenStore;
+use crate::database::{EncodedQuery, SoundScratch, TokenRecord, NUM_LEVELS};
 
-thread_local! {
-    /// Per-worker walk scratch for the parallel fan-out path: each pool
-    /// worker (and the participating caller) dedups its shard walks
-    /// through its own visited set, so no scratch crosses threads.
-    static FAN_OUT_SCRATCH: RefCell<SoundScratch> = RefCell::new(SoundScratch::new());
+/// One level's interned code table: dense code ids over append-only
+/// posting lists. The string map is touched once per *query code*; the
+/// per-candidate scan runs over plain `u32` postings. A [`Bloom`] summary
+/// of the interned code set rides along (kept current by `intern`, which
+/// is the only insertion point), so the router can rule the whole level
+/// out for a query without probing the map.
+#[derive(Debug, Default)]
+struct CodeIndex {
+    ids: FxHashMap<Box<str>, u32>,
+    names: Vec<Box<str>>,
+    postings: Vec<Vec<u32>>,
+    summary: Bloom,
 }
 
-/// One text prepared off-thread during parallel sharded ingest: the
-/// routed, encoded words plus the clean-sentence gate bits.
-struct ShardPreparedText {
-    /// `(shard, word)` for every word that reaches a shard; `Skip`s are
-    /// counted in `n_words` but not scattered.
-    words: Vec<(u32, PreparedWord)>,
-    n_words: usize,
-    any_word: bool,
-    all_english: bool,
-}
-
-/// A token database split across consistent-hash shards. See the module
-/// docs for the routing and id-space design; the public surface is the
-/// [`TokenStore`] trait plus a few shard-introspection helpers.
-pub struct ShardedTokenDatabase {
-    ring: ShardRing,
-    soundex: [CustomSoundex; NUM_LEVELS],
-    shards: Vec<TokenDatabase>,
-    clean_sentences: Vec<String>,
-    /// Shard walks actually performed (Bloom summary admitted the query).
-    shard_walks: Counter,
-    /// Shard walks skipped outright by the Bloom summaries.
-    shard_skips: Counter,
-}
-
-impl ShardedTokenDatabase {
-    /// An empty store over `shards` consistent-hash shards (clamped to at
-    /// least 1).
-    pub fn in_memory(shards: usize) -> Self {
-        let ring = ShardRing::new(shards);
-        ShardedTokenDatabase {
-            ring,
-            soundex: [
-                CustomSoundex::new(0),
-                CustomSoundex::new(1),
-                CustomSoundex::new(2),
-            ],
-            shards: (0..ring.shards())
-                .map(|_| TokenDatabase::in_memory())
-                .collect(),
-            clean_sentences: Vec::new(),
-            shard_walks: Counter::new(),
-            shard_skips: Counter::new(),
-        }
-    }
-
-    /// An empty sharded store pre-seeded with the English lexicon.
-    pub fn with_lexicon(shards: usize) -> Self {
-        let mut db = Self::in_memory(shards);
-        db.seed_lexicon_impl();
-        db
-    }
-
-    /// Reshard an existing single-instance database: every record keeps
-    /// its token, occurrence count, and lexicon status; clean sentences
-    /// carry over. Statistics and retrieval results are preserved exactly.
-    pub fn from_database(db: &TokenDatabase, shards: usize) -> Self {
-        let mut out = Self::in_memory(shards);
-        for rec in db.records() {
-            let s = out.route(&rec.token);
-            out.shards[s].upsert_token(&rec.token, rec.count);
-        }
-        for sentence in db.clean_sentences() {
-            out.record_clean_sentence_impl(sentence);
-        }
-        out
-    }
-
-    /// The shard that owns `token`: jump hash of the primary `H_1` code,
-    /// falling back to the raw token for strings without phonetic content.
-    /// Crate internal beyond this module: the durable ingest layer routes
-    /// delta-log records with it.
+impl CodeIndex {
     #[inline]
-    pub(crate) fn route(&self, token: &str) -> usize {
-        match self.soundex[1].encode(token) {
-            Some(code) => self.ring.route_str(code.as_str()),
-            None => self.ring.route_str(token),
+    fn id_of(&self, code: &str) -> Option<u32> {
+        self.ids.get(code).copied()
+    }
+
+    fn intern(&mut self, code: &str) -> u32 {
+        if let Some(&id) = self.ids.get(code) {
+            return id;
         }
-    }
-
-    /// Read access to one shard (for introspection and tests).
-    pub fn shard(&self, i: usize) -> &TokenDatabase {
-        &self.shards[i]
-    }
-
-    /// The record behind a global id handed out by
-    /// [`TokenStore::for_each_sound_mate`].
-    pub fn record(&self, global_id: u32) -> Option<&TokenRecord> {
-        let n = self.shards.len() as u32;
-        let shard = self.shards.get((global_id % n) as usize)?;
-        shard.records().get((global_id / n) as usize)
-    }
-
-    /// The shards whose Bloom summaries admit at least one of `query`'s
-    /// codes — the only shards a walk visits. False positives are
-    /// possible (a listed shard may still produce no hits); false
-    /// negatives are not (codes are only ever interned, never removed).
-    pub fn matching_shards(&self, query: &EncodedQuery) -> Vec<u32> {
-        (0..self.shards.len() as u32)
-            .filter(|&s| self.shards[s as usize].may_match(query))
-            .collect()
-    }
-
-    /// How many of a query's shard walks the Bloom summaries skip — the
-    /// `skip-rate` statistic of the bench's `shards` dimension.
-    pub fn skipped_shards(&self, query: &EncodedQuery) -> usize {
-        self.shards.iter().filter(|s| !s.may_match(query)).count()
-    }
-
-    /// The parallel half of [`TokenStore::fan_out_sound_mates`]: run every
-    /// matching shard's walk (candidate visit + `map`) on the worker pool,
-    /// buffering per-shard results, then feed the buffers to `sink` in
-    /// shard order. Because shards are disjoint and `map` is pure, the
-    /// sink observes exactly the sequence the sequential walk produces —
-    /// including under early exit, where later results are simply
-    /// discarded. Kept separate from the dispatch heuristic so tests can
-    /// pin this path against the sequential walk regardless of core count.
-    fn fan_out_collected<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        matching: &[u32],
-        map: &M,
-        mut sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        let n = self.shards.len() as u32;
-        let per_shard: Vec<Vec<R>> = par_map(matching, |&s| {
-            FAN_OUT_SCRATCH.with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                let mut out: Vec<R> = Vec::new();
-                let flow =
-                    self.shards[s as usize].for_each_sound_mate(query, scratch, |local, rec| {
-                        if let Some(r) = map(local * n + s, rec) {
-                            out.push(r);
-                        }
-                        ControlFlow::Continue(())
-                    });
-                debug_assert!(flow.is_continue());
-                out
-            })
-        });
-        for results in per_shard {
-            for r in results {
-                sink(r)?;
-            }
+        let id = self.names.len() as u32;
+        let boxed: Box<str> = code.into();
+        self.summary.insert(fx_hash_str(&boxed));
+        self.names.push(boxed.clone());
+        self.ids.insert(boxed, id);
+        self.postings.push(Vec::new());
+        if self.summary.needs_grow() {
+            self.rebuild_summary();
         }
-        ControlFlow::Continue(())
+        id
     }
 
-    fn compute_codes(&self, token: &str) -> [Vec<SoundexCode>; NUM_LEVELS] {
-        [
-            self.soundex[0].encode_all(token),
-            self.soundex[1].encode_all(token),
-            self.soundex[2].encode_all(token),
-        ]
-    }
-
-    /// The read-only, parallel-safe half of sharded batch ingest: route,
-    /// gate, and encode every word of one text against the pre-batch
-    /// shard states. Mirrors `TokenDatabase::prepare_text` word for word,
-    /// with the routed shard standing in for the single instance.
-    fn prepare_text(&self, text: &str) -> ShardPreparedText {
-        let mut words = Vec::new();
-        let mut n_words = 0usize;
-        let mut any_word = false;
-        let mut all_english = true;
-        // New tokens already encoded earlier in this text (routing is
-        // deterministic, so a repeated token always targets one shard).
-        let mut local: FxHashMap<&str, bool> = FxHashMap::default();
-        // Routing runs a Soundex encode, so memoize it per distinct token:
-        // a word repeated through a text routes once, not per occurrence.
-        let mut routed: FxHashMap<&str, u32> = FxHashMap::default();
-        for tok in tokenize_spans(text) {
-            if !tok.is_word() {
-                continue;
-            }
-            let t = tok.text(text);
-            any_word = true;
-            if !cryptext_corpus::is_english_word(t) {
-                all_english = false;
-            }
-            n_words += 1;
-            if t.chars().count() < 2 {
-                continue; // Skip: counted, never stored.
-            }
-            let s = match routed.get(t) {
-                Some(&s) => s,
-                None => {
-                    let s = self.route(t) as u32;
-                    routed.insert(t, s);
-                    s
-                }
-            };
-            if let Some(id) = self.shards[s as usize].id_of_token(t) {
-                words.push((s, PreparedWord::Known(id)));
-                continue;
-            }
-            match local.get(t) {
-                Some(true) => words.push((s, PreparedWord::Repeat(t.to_string()))),
-                Some(false) => {}
-                None => {
-                    let codes = self.compute_codes(t);
-                    if codes[0].is_empty() {
-                        local.insert(t, false); // no phonetic content
-                    } else {
-                        local.insert(t, true);
-                        words.push((s, PreparedWord::Fresh(t.to_string(), Box::new(codes))));
-                    }
-                }
-            }
+    /// Rebuild the Bloom summary from the exact interned code set, sized
+    /// for the current count. The interner is append-only, so the rebuilt
+    /// filter covers precisely the same keys at a healthy fill ratio —
+    /// the growth policy that keeps shard skip rates high as a shard's
+    /// code universe outgrows the summary it started with.
+    fn rebuild_summary(&mut self) {
+        let mut summary = Bloom::with_capacity(self.names.len());
+        for name in &self.names {
+            summary.insert(fx_hash_str(name));
         }
-        ShardPreparedText {
-            words,
-            n_words,
-            any_word,
-            all_english,
-        }
+        self.summary = summary;
     }
 
-    /// Apply one replayed count delta to the routed shard. Crate internal:
-    /// the durable ingest layer's recovery path (`crate::durable`) replays
-    /// delta-log records through this, reproducing live ingest exactly.
-    pub(crate) fn upsert_routed(&mut self, token: &str, delta: u64) {
-        let s = self.route(token);
-        self.shards[s].upsert_token(token, delta);
+    fn add(&mut self, code: &str, record: u32) {
+        let id = self.intern(code);
+        self.postings[id as usize].push(record);
     }
 
-    /// Seed the slice of the English lexicon owned by `shard` — the exact
-    /// subsequence (in lexicon order) that [`Self::seed_lexicon_impl`]
-    /// would route there. Crate internal: delta-log replay re-seeds one
-    /// shard at a time.
-    pub(crate) fn seed_lexicon_shard(&mut self, shard: usize) {
-        for w in cryptext_corpus::english_lexicon() {
-            if self.route(w) == shard {
-                self.shards[shard].upsert_token(w, 0);
-            }
-        }
-    }
-
-    fn record_clean_sentence_impl(&mut self, text: &str) {
-        if self.clean_sentences.len() < MAX_CLEAN_SENTENCES {
-            self.clean_sentences.push(text.to_string());
-        }
-    }
-
-    fn seed_lexicon_impl(&mut self) {
-        for w in cryptext_corpus::english_lexicon() {
-            let s = self.route(w);
-            self.shards[s].upsert_token(w, 0);
-        }
-    }
-
-    /// Merged Table-I view across shards: identical to what a single
-    /// instance over the same corpus would produce (each record lives in
-    /// exactly one shard, and both sides sort codes and tokens).
-    pub fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>> {
-        TokenDatabase::check_level(k)?;
-        let mut merged: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for shard in &self.shards {
-            for (code, tokens) in shard.hashmap_view(k)? {
-                merged.entry(code).or_default().extend(tokens);
-            }
-        }
-        Ok(merged
-            .into_iter()
-            .map(|(code, mut tokens)| {
-                tokens.sort();
-                (code, tokens)
-            })
-            .collect())
-    }
-
-    /// The name of shard `i`'s collection under generation `g` of a
-    /// persist of `collection`.
-    fn shard_collection(collection: &str, g: u64, i: usize) -> String {
-        format!("{collection}__g{g}__shard{i}")
-    }
-
-    /// Parse the generation out of a `{collection}__g{g}__shard{i}`-style
-    /// name — including the `__staging` suffixes a crashed shard persist
-    /// can leave behind. `None` for names that are not part of a sharded
-    /// layout of `collection` (the stale-generation sweep only ever drops
-    /// names this function recognizes). Parsing the number rather than
-    /// string-prefix matching keeps `g1` from swallowing `g10`.
-    fn collection_generation(collection: &str, name: &str) -> Option<u64> {
-        let rest = name.strip_prefix(collection)?.strip_prefix("__g")?;
-        let end = rest.find(|c: char| !c.is_ascii_digit())?;
-        if end == 0 || !rest[end..].starts_with("__shard") {
-            return None;
-        }
-        rest[..end].parse().ok()
-    }
-
-    /// Read the `(shard_count, generation)` pair recorded by a sharded
-    /// persist of `collection`, or `None` when the collection is absent or
-    /// not a sharded layout.
-    fn manifest_meta(store: &Database, collection: &str) -> Result<Option<(usize, u64)>> {
-        if !store.has_collection(collection) {
-            return Ok(None);
-        }
-        let Some((_, doc)) = store.find_one(collection, &Filter::All)? else {
-            return Ok(None);
-        };
-        let Some(n) = doc
-            .get("shard_manifest")
-            .and_then(Value::as_int)
-            .filter(|&n| n > 0)
-        else {
-            return Ok(None);
-        };
-        let g = doc
-            .get("generation")
-            .and_then(Value::as_int)
-            .unwrap_or(0)
-            .max(0) as u64;
-        Ok(Some((n as usize, g)))
-    }
-
-    /// Read the shard count recorded by a sharded persist of `collection`,
-    /// or `None` when the collection is absent or not a sharded layout.
-    pub fn manifest_shards(store: &Database, collection: &str) -> Result<Option<usize>> {
-        Ok(Self::manifest_meta(store, collection)?.map(|(n, _)| n))
-    }
-
-    /// Route a stored record against `ring` without re-running the Soundex
-    /// encoder: records keep their codes, and `encode_all` lists the
-    /// primary `H_1` reading first, so resharding reuses it (with the same
-    /// raw-token fallback as [`Self::route`] for records without phonetic
-    /// content).
-    fn route_record(ring: &ShardRing, rec: &TokenRecord) -> usize {
-        match rec.codes[1].first() {
-            Some(code) => ring.route_str(code.as_str()),
-            None => ring.route_str(&rec.token),
-        }
-    }
-
-    /// Grow the store by one shard in place, relocating only the records
-    /// whose jump-hash home changes. Jump consistent hashing guarantees a
-    /// key's route either stays put or moves to the *new* shard, so going
-    /// N→N+1 touches ~1/(N+1) of the corpus and every retained shard keeps
-    /// its records (and record order) byte-identical to a fresh
-    /// (N+1)-shard build of the same corpus. Reads pause only for the
-    /// rebuild itself (`&mut self`); before and after, every query surface
-    /// — lookups, stats, Table-I views, Bloom routing — matches the fresh
-    /// build (proptest-pinned below). Returns the number of records moved.
-    pub fn grow_one_shard(&mut self) -> usize {
-        let old_n = self.shards.len();
-        let new_ring = ShardRing::new(old_n + 1);
-        let mut movers: Vec<TokenRecord> = Vec::new();
-        for s in 0..old_n {
-            let shard = std::mem::take(&mut self.shards[s]);
-            let mut keep = TokenDatabase::in_memory();
-            for rec in shard.into_records() {
-                let home = Self::route_record(&new_ring, &rec);
-                // Jump hash moves keys only to the new last shard;
-                // anything else breaks the minimal-movement contract.
-                debug_assert!(home == s || home == old_n);
-                if home == s {
-                    keep.insert_record_raw(rec);
-                } else {
-                    movers.push(rec);
-                }
-            }
-            self.shards[s] = keep;
-        }
-        let moved = movers.len();
-        let mut fresh = TokenDatabase::in_memory();
-        for rec in movers {
-            fresh.insert_record_raw(rec);
-        }
-        self.shards.push(fresh);
-        self.ring = new_ring;
-        moved
+    #[inline]
+    fn members(&self, code: &str) -> &[u32] {
+        self.id_of(code)
+            .map(|id| self.postings[id as usize].as_slice())
+            .unwrap_or(&[])
     }
 }
 
-impl TokenStore for ShardedTokenDatabase {
-    fn num_shards(&self) -> usize {
-        self.shards.len()
+/// Encode `token` at every materialized phonetic level (the per-level
+/// encoders are stateless, so no instance is borrowed).
+pub(crate) fn encode_levels(token: &str) -> [Vec<SoundexCode>; NUM_LEVELS] {
+    std::array::from_fn(|k| CustomSoundex::new(k).encode_all(token))
+}
+
+/// A word token prepared off-thread during batch ingest, against the
+/// pre-batch state of the shard it routes to.
+pub(crate) enum PreparedWord {
+    /// Already in the shard when the batch was prepared; the record id was
+    /// resolved during the parallel phase, so the merge bumps the count
+    /// directly without re-probing `by_token`.
+    Known(u32),
+    /// Repeat of a new token first seen earlier in the same text; its
+    /// `Fresh` occurrence merges first, so the merge resolves this one
+    /// against `by_token`.
+    Repeat(String),
+    /// New token with phonetic codes precomputed in the parallel phase.
+    Fresh(String, Box<[Vec<SoundexCode>; NUM_LEVELS]>),
+}
+
+/// One shard's records and `H_k` indexes.
+#[derive(Debug, Default)]
+pub(crate) struct Shard {
+    records: Vec<TokenRecord>,
+    by_token: FxHashMap<String, u32>,
+    /// `H_k`: interned Soundex code → record ids sharing that sound.
+    buckets: [CodeIndex; NUM_LEVELS],
+}
+
+impl Shard {
+    /// The shard's records in local-id order.
+    pub(crate) fn records(&self) -> &[TokenRecord] {
+        &self.records
     }
 
-    fn for_each_sound_mate<'a, F>(
+    /// Fetch a token's record (case-sensitive).
+    pub(crate) fn get(&self, token: &str) -> Option<&TokenRecord> {
+        self.by_token
+            .get(token)
+            .map(|&id| &self.records[id as usize])
+    }
+
+    /// Is `token` stored, and at which local id?
+    #[inline]
+    pub(crate) fn id_of_token(&self, token: &str) -> Option<u32> {
+        self.by_token.get(token).copied()
+    }
+
+    /// The members of bucket `H_k[code]` (local ids). `k` must be valid.
+    pub(crate) fn bucket(&self, k: usize, code: &str) -> &[u32] {
+        self.buckets[k].members(code)
+    }
+
+    /// Distinct interned code names at level `k`, in interning order.
+    pub(crate) fn code_names(&self, k: usize) -> &[Box<str>] {
+        &self.buckets[k].names
+    }
+
+    /// Bit width of the level-`k` code summary — growth diagnostics: the
+    /// summary starts at a fixed width and is rebuilt wider once the
+    /// interned code set outgrows it, which the growth tests pin.
+    #[cfg(test)]
+    pub(crate) fn summary_bits(&self, k: usize) -> usize {
+        self.buckets[k].summary.bit_count()
+    }
+
+    fn insert_new(&mut self, token: String, add_count: u64, codes: [Vec<SoundexCode>; NUM_LEVELS]) {
+        let folded = token.to_lowercase();
+        let folded_chars = folded.chars().count() as u32;
+        let is_english = cryptext_corpus::is_english_word(&token);
+        self.insert_record(TokenRecord {
+            token,
+            folded,
+            folded_chars,
+            count: add_count,
+            is_english,
+            codes,
+        });
+    }
+
+    /// Append a fully-formed record under the next dense id, indexing its
+    /// stored codes (no re-encoding). The caller guarantees the token is
+    /// not already present; live resharding rebuilds shards through this.
+    pub(crate) fn insert_record(&mut self, rec: TokenRecord) {
+        let id = self.records.len() as u32;
+        for (k, level_codes) in rec.codes.iter().enumerate() {
+            for code in level_codes {
+                self.buckets[k].add(code.as_str(), id);
+            }
+        }
+        self.by_token.insert(rec.token.clone(), id);
+        self.records.push(rec);
+    }
+
+    /// Insert or count a token with an explicit occurrence delta, without
+    /// the ingest gates (lexicon seeding, resharding and delta-log replay
+    /// come through here).
+    pub(crate) fn upsert(&mut self, token: &str, add_count: u64) {
+        if let Some(&id) = self.by_token.get(token) {
+            self.records[id as usize].count += add_count;
+        } else {
+            self.insert_new(token.to_string(), add_count, encode_levels(token));
+        }
+    }
+
+    /// Apply one prepared word — the sequential half of batch ingest.
+    pub(crate) fn merge(&mut self, word: PreparedWord) {
+        let id = match word {
+            PreparedWord::Known(id) => id,
+            PreparedWord::Repeat(t) => *self
+                .by_token
+                .get(t.as_str())
+                .expect("Repeat follows its Fresh within one text"),
+            PreparedWord::Fresh(t, codes) => match self.by_token.get(t.as_str()) {
+                // An earlier text in this batch inserted it already.
+                Some(&id) => id,
+                None => return self.insert_new(t, 1, *codes),
+            },
+        };
+        self.records[id as usize].count += 1;
+    }
+
+    /// Consume the shard, yielding its records in id order (live
+    /// resharding redistributes them without re-running the encoders).
+    pub(crate) fn into_records(self) -> Vec<TokenRecord> {
+        self.records
+    }
+
+    /// Might this shard index any of `query`'s codes at the query's level?
+    /// A [`Bloom`]-summary check over the interned code set: `false` is
+    /// authoritative (the walk would visit nothing), `true` may be a false
+    /// positive.
+    #[inline]
+    pub(crate) fn may_match(&self, query: &EncodedQuery) -> bool {
+        let summary = &self.buckets[query.level()].summary;
+        query.code_hashes().iter().any(|&h| summary.may_contain(h))
+    }
+
+    /// Visit every record sharing a sound with the pre-encoded `query`
+    /// (union over the token's ambiguous readings), each exactly once, in
+    /// bucket insertion order, with its local id. The visitor may return
+    /// [`ControlFlow::Break`] to stop the walk early; the return value
+    /// reports whether it did. Reusing one `scratch` across calls makes
+    /// the walk allocation-free.
+    pub(crate) fn for_each_sound_mate<'a, F>(
         &'a self,
         query: &EncodedQuery,
         scratch: &mut SoundScratch,
@@ -477,1265 +257,88 @@ impl TokenStore for ShardedTokenDatabase {
     where
         F: FnMut(u32, &'a TokenRecord) -> ControlFlow<()>,
     {
-        let n = self.shards.len() as u32;
-        // Tally walk/skip decisions locally and flush as two adds per
-        // query (early exit included), never per shard.
-        let mut walked = 0u64;
-        let mut skipped = 0u64;
-        let mut flow = ControlFlow::Continue(());
-        for (s, shard) in self.shards.iter().enumerate() {
-            if !shard.may_match(query) {
-                skipped += 1;
-                continue; // Bloom says no bucket here can match.
-            }
-            walked += 1;
-            let s = s as u32;
-            if shard
-                .for_each_sound_mate(query, scratch, |local, rec| f(local * n + s, rec))
-                .is_break()
-            {
-                flow = ControlFlow::Break(());
-                break;
-            }
-        }
-        self.shard_walks.add(walked);
-        self.shard_skips.add(skipped);
-        flow
-    }
-
-    fn fan_out_sound_mates<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        map: M,
-        mut sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        let n = self.shards.len() as u32;
-        // Route through the scratch's reusable shard buffer — the hot
-        // path stays allocation-free per query.
-        let mut matching = std::mem::take(&mut scratch.fan_out);
-        matching.clear();
-        matching.extend((0..n).filter(|&s| self.shards[s as usize].may_match(query)));
-        self.shard_walks.add(matching.len() as u64);
-        self.shard_skips.add(n as u64 - matching.len() as u64);
-        let flow = if matching.len() <= 1 {
-            // Nothing to fan out: walk the (at most one) matching shard
-            // inline on the caller's scratch, no per-shard buffers.
-            let mut walk = || -> ControlFlow<()> {
-                for &s in &matching {
-                    self.shards[s as usize].for_each_sound_mate(query, scratch, |local, rec| {
-                        match map(local * n + s, rec) {
-                            Some(r) => sink(r),
-                            None => ControlFlow::Continue(()),
-                        }
-                    })?;
-                }
-                ControlFlow::Continue(())
-            };
-            walk()
-        } else {
-            self.fan_out_collected(query, &matching, &map, sink)
-        };
-        scratch.fan_out = matching;
-        flow
-    }
-
-    fn get(&self, token: &str) -> Option<&TokenRecord> {
-        self.shards[self.route(token)].get(token)
-    }
-
-    fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.register_counter(
-            "cryptext_store_shard_walks_total",
-            "Per-query shard walks the Bloom summaries admitted",
-            &[],
-            &self.shard_walks,
-        );
-        registry.register_counter(
-            "cryptext_store_shard_skips_total",
-            "Per-query shard walks skipped by the Bloom summaries",
-            &[],
-            &self.shard_skips,
-        );
-    }
-
-    fn stats(&self) -> TokenStats {
-        let mut stats = TokenStats {
-            unique_tokens: 0,
-            total_occurrences: 0,
-            unique_sounds: [0; NUM_LEVELS],
-            english_tokens: 0,
-        };
-        for shard in &self.shards {
-            let s = shard.stats();
-            stats.unique_tokens += s.unique_tokens;
-            stats.total_occurrences += s.total_occurrences;
-            stats.english_tokens += s.english_tokens;
-        }
-        // Sounds are not disjoint across shards (a code can host tokens in
-        // several shards through ambiguous secondary readings), so the
-        // per-level counts are unions, not sums.
-        for k in 0..NUM_LEVELS {
-            let mut seen: FxHashSet<&str> = FxHashSet::default();
-            for shard in &self.shards {
-                for name in shard.code_names(k) {
-                    seen.insert(name);
+        scratch.begin(self.records.len());
+        let bucket = &self.buckets[query.level()];
+        for code in query.codes() {
+            if let Some(cid) = bucket.id_of(code.as_str()) {
+                for &id in &bucket.postings[cid as usize] {
+                    if scratch.mark(id) {
+                        f(id, &self.records[id as usize])?;
+                    }
                 }
             }
-            stats.unique_sounds[k] = seen.len();
         }
-        stats
+        ControlFlow::Continue(())
     }
 
-    fn unique_tokens(&self) -> usize {
-        self.shards.iter().map(|s| s.records().len()).sum()
+    /// The shard's `H_k` map as `(code, tokens)` pairs, unsorted.
+    pub(crate) fn hashmap_entries(&self, k: usize) -> impl Iterator<Item = (&str, Vec<&str>)> {
+        let idx = &self.buckets[k];
+        idx.names.iter().zip(&idx.postings).map(|(code, ids)| {
+            let tokens = ids
+                .iter()
+                .map(|&id| self.records[id as usize].token.as_str())
+                .collect();
+            (&**code, tokens)
+        })
     }
 
-    fn clean_sentences(&self) -> &[String] {
-        &self.clean_sentences
-    }
-
-    fn soundex(&self, k: usize) -> Result<&CustomSoundex> {
-        TokenDatabase::check_level(k)?;
-        Ok(&self.soundex[k])
-    }
-
-    fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>> {
-        ShardedTokenDatabase::hashmap_view(self, k)
-    }
-
-    fn ingest_token(&mut self, token: &str) {
-        if token.chars().count() < 2 {
-            return;
-        }
-        if self.soundex[0].encode(token).is_none() {
-            return; // no phonetic content
-        }
-        let s = self.route(token);
-        self.shards[s].upsert_token(token, 1);
-    }
-
-    // `ingest_text` uses the trait's default implementation: the canonical
-    // tokenize/gate/clean-sentence loop over `ingest_token` +
-    // `record_clean_sentence`, shared with the single-instance backend so
-    // the two can never drift.
-
-    fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize {
-        let prepared: Vec<ShardPreparedText> =
-            par_map(texts, |text| self.prepare_text(text.as_ref()));
-
-        // Scatter into per-shard merge queues in input order, collecting
-        // clean sentences at the router (the gate is per text, not per
-        // shard).
-        let mut queues: Vec<Vec<PreparedWord>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut n = 0;
-        for (text, prep) in texts.iter().zip(prepared) {
-            n += prep.n_words;
-            for (s, word) in prep.words {
-                queues[s as usize].push(word);
-            }
-            if prep.any_word && prep.all_english {
-                self.record_clean_sentence_impl(text.as_ref());
-            }
-        }
-
-        // Parallel per-shard merge: shards are disjoint, so each queue
-        // applies independently. Each Mutex is locked exactly once, by the
-        // worker that owns that shard's merge.
-        let jobs: Vec<Mutex<(TokenDatabase, Vec<PreparedWord>)>> =
-            self.shards.drain(..).zip(queues).map(Mutex::new).collect();
-        par_map(&jobs, |job| {
-            let mut guard = job.lock();
-            let (shard, queue) = &mut *guard;
-            for word in queue.drain(..) {
-                shard.merge_prepared_word(word);
-            }
-        });
-        self.shards = jobs.into_iter().map(|job| job.into_inner().0).collect();
-        n
-    }
-
-    fn record_clean_sentence(&mut self, text: &str) {
-        self.record_clean_sentence_impl(text)
-    }
-
-    fn seed_lexicon(&mut self) {
-        self.seed_lexicon_impl()
-    }
-
-    fn persist_to(&self, store: &Database, collection: &str) -> Result<()> {
-        // Crash-safe replace: write the new layout under a fresh
-        // generation first, swap the manifest last, clean stale
-        // generations only after the swap. The manifest rename is the
-        // single commit point — a crash anywhere else leaves the previous
-        // persist fully loadable.
-        let live = Self::manifest_meta(store, collection)?.map_or(0, |(_, g)| g);
-        let ceiling = store
-            .collections_with_prefix(&format!("{collection}__g"))
+    /// Write every record into a new collection `name`, in one batched
+    /// append (one WAL frame per record, one flush).
+    pub(crate) fn persist(&self, store: &Database, name: &str) -> Result<()> {
+        store.create_collection(name)?;
+        let docs = self
+            .records
             .iter()
-            .filter_map(|name| Self::collection_generation(collection, name))
-            .fold(live, u64::max);
-        let generation = ceiling + 1;
-
-        failpoint::check("persist.shards.write")?;
-        // Fan out: one collection per shard, persisted in parallel (the
-        // document store takes per-collection locks, so writers do not
-        // contend). The live generation's collections are untouched.
-        let jobs: Vec<(usize, &TokenDatabase)> = self.shards.iter().enumerate().collect();
-        try_par_map(&jobs, |&(i, shard)| {
-            shard.persist_to(store, &Self::shard_collection(collection, generation, i))
-        })?;
-
-        // Stage the manifest and rename it over the live name: the rename
-        // is a single WAL record with replace semantics, so recovery sees
-        // the old manifest or the new one, never neither.
-        let staging = format!("{collection}__manifest_staging");
-        if store.has_collection(&staging) {
-            store.drop_collection(&staging)?;
-        }
-        store.create_collection(&staging)?;
-        store.insert(
-            &staging,
-            Document::new()
-                .with("shard_manifest", self.shards.len() as i64)
-                .with("generation", generation as i64),
-        )?;
-        failpoint::check("persist.manifest.swap")?;
-        store.rename_collection(&staging, collection)?;
-
-        // Only now is every other generation garbage — including leftovers
-        // from persists that crashed before their swap.
-        for name in store.collections_with_prefix(&format!("{collection}__g")) {
-            match Self::collection_generation(collection, &name) {
-                Some(g) if g != generation => store.drop_collection(&name)?,
-                _ => {}
-            }
-        }
+            .map(|rec| {
+                let mut doc = Document::new()
+                    .with("token", rec.token.as_str())
+                    .with("count", rec.count as i64)
+                    .with("is_english", rec.is_english);
+                for (k, codes) in rec.codes.iter().enumerate() {
+                    doc.set(
+                        format!("codes_k{k}"),
+                        Value::Array(codes.iter().map(|c| Value::from(c.as_str())).collect()),
+                    );
+                }
+                doc
+            })
+            .collect();
+        store.insert_many(name, docs)?;
         Ok(())
     }
 
-    fn load_from(store: &Database, collection: &str) -> Result<Self> {
-        let (n, generation) = Self::manifest_meta(store, collection)?.ok_or_else(|| {
-            Error::corrupt(format!(
-                "collection {collection} has no shard-count manifest"
-            ))
-        })?;
-        let idx: Vec<usize> = (0..n).collect();
-        let shards = try_par_map(&idx, |&i| {
-            TokenDatabase::load_from(store, &Self::shard_collection(collection, generation, i))
-        })?;
-        let mut out = Self::in_memory(n);
-        out.shards = shards;
-        Ok(out)
-    }
-}
-
-impl std::fmt::Debug for ShardedTokenDatabase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = TokenStore::stats(self);
-        f.debug_struct("ShardedTokenDatabase")
-            .field("shards", &self.shards.len())
-            .field("unique_tokens", &s.unique_tokens)
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lookup::{look_up, LookupParams};
-
-    const FIXTURE_TEXTS: [&str; 6] = [
-        "the dirrty republicans",
-        "thee dirty repubLIEcans",
-        "the dirty republic@@ns",
-        "the demokRATs and the democrats",
-        "thinking about suic1de",
-        "suicide prevention matters",
-    ];
-
-    fn single() -> TokenDatabase {
-        let mut db = TokenDatabase::in_memory();
-        for t in FIXTURE_TEXTS {
-            db.ingest_text(t);
-        }
-        db
-    }
-
-    fn sharded(n: usize) -> ShardedTokenDatabase {
-        let mut db = ShardedTokenDatabase::in_memory(n);
-        for t in FIXTURE_TEXTS {
-            TokenStore::ingest_text(&mut db, t);
-        }
-        db
-    }
-
-    fn assert_equivalent(flat: &TokenDatabase, wide: &ShardedTokenDatabase) {
-        assert_eq!(TokenStore::stats(wide), flat.stats());
-        assert_eq!(wide.clean_sentences(), flat.clean_sentences());
-        for k in 0..NUM_LEVELS {
-            assert_eq!(
-                ShardedTokenDatabase::hashmap_view(wide, k).unwrap(),
-                flat.hashmap_view(k).unwrap(),
-                "H_{k} identical"
-            );
-        }
-        for q in [
-            "republicans",
-            "democrats",
-            "suic1de",
-            "the",
-            "zzzzzz",
-            "vãccine",
-        ] {
-            for k in 0..NUM_LEVELS {
-                for d in 0..4 {
-                    for params in [
-                        LookupParams::new(k, d),
-                        LookupParams::new(k, d).perturbations_only(),
-                        LookupParams::new(k, d).observed(),
-                    ] {
-                        assert_eq!(
-                            look_up(wide, q, params).unwrap(),
-                            look_up(flat, q, params).unwrap(),
-                            "query {q:?} params {params:?}"
-                        );
-                    }
+    /// Rebuild a shard from collection `name` (inverse of
+    /// [`Shard::persist`]).
+    pub(crate) fn load(store: &Database, name: &str) -> Result<Shard> {
+        let mut shard = Shard::default();
+        for (_, doc) in store.find(name, &Filter::All)? {
+            let token = doc
+                .get("token")
+                .and_then(Value::as_str)
+                .ok_or_else(|| Error::corrupt("token field missing"))?;
+            let count = doc
+                .get("count")
+                .and_then(Value::as_int)
+                .ok_or_else(|| Error::corrupt("count field missing"))?;
+            // Trust recomputed codes over stored ones (the algorithm is
+            // the source of truth), but verify agreement for corruption
+            // safety.
+            let codes = encode_levels(token);
+            if let Some(stored) = doc.get("codes_k1").and_then(Value::as_array) {
+                let recomputed: Vec<&str> = codes[1].iter().map(|c| c.as_str()).collect();
+                let stored_strs: Vec<&str> = stored.iter().filter_map(Value::as_str).collect();
+                if recomputed != stored_strs {
+                    return Err(Error::corrupt(format!(
+                        "code mismatch for token {token}: {stored_strs:?} vs {recomputed:?}"
+                    )));
                 }
             }
-            assert_eq!(TokenStore::get(wide, q), flat.get(q));
-        }
-    }
-
-    #[test]
-    fn sharded_matches_single_for_every_shard_count() {
-        let flat = single();
-        for n in 1..=8 {
-            let wide = sharded(n);
-            assert_eq!(wide.num_shards(), n);
-            assert_equivalent(&flat, &wide);
-        }
-    }
-
-    #[test]
-    fn every_record_lives_in_exactly_one_shard() {
-        let wide = sharded(4);
-        let flat = single();
-        let total: usize = (0..4).map(|i| wide.shard(i).records().len()).sum();
-        assert_eq!(total, flat.stats().unique_tokens);
-        // With more than one shard and this corpus, the records actually
-        // spread out (the router is not degenerate).
-        let populated = (0..4)
-            .filter(|&i| !wide.shard(i).records().is_empty())
-            .count();
-        assert!(populated > 1, "tokens spread across shards");
-    }
-
-    #[test]
-    fn routing_groups_primary_sound_mates() {
-        let wide = sharded(8);
-        // Tokens sharing a primary H_1 code are colocated by construction.
-        let a = wide.route("dirty");
-        let b = wide.route("dirrty");
-        assert_eq!(a, b, "same primary H_1 code → same shard");
-    }
-
-    #[test]
-    fn global_ids_decode_back_to_records() {
-        let wide = sharded(3);
-        let mut scratch = SoundScratch::new();
-        let query = EncodedQuery::for_token("republicans", 1).unwrap();
-        let mut seen = 0;
-        let flow = TokenStore::for_each_sound_mate(&wide, &query, &mut scratch, |id, rec| {
-            assert_eq!(
-                wide.record(id).expect("global id resolves"),
-                rec,
-                "id ↔ record agree through the shard remap"
-            );
-            seen += 1;
-            ControlFlow::Continue(())
-        });
-        assert!(flow.is_continue());
-        assert!(seen >= 3, "all republicans variants visited");
-        assert!(wide.record(u32::MAX).is_none());
-    }
-
-    /// Reference sequence: the sequential shard-order walk with the map
-    /// applied inline — what `fan_out_sound_mates` must reproduce exactly.
-    fn sequential_reference(
-        wide: &ShardedTokenDatabase,
-        query: &EncodedQuery,
-    ) -> Vec<(u32, String)> {
-        let mut scratch = SoundScratch::new();
-        let mut out = Vec::new();
-        let _ = TokenStore::for_each_sound_mate(wide, query, &mut scratch, |id, rec| {
-            out.push((id, rec.token.clone()));
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
-    #[test]
-    fn parallel_fan_out_matches_sequential_walk_exactly() {
-        for n in [2usize, 3, 5, 8] {
-            let wide = sharded(n);
-            for token in ["republicans", "the", "suic1de", "democrats", "zzzzzz"] {
-                for k in 0..NUM_LEVELS {
-                    let query = EncodedQuery::for_token(token, k).unwrap();
-                    let reference = sequential_reference(&wide, &query);
-
-                    // Drive the parallel collect-then-merge path directly
-                    // (bypassing the ≤1-matching-shard shortcut) so the pin
-                    // holds even on single-core hosts and sparse queries.
-                    let matching = wide.matching_shards(&query);
-                    let mut collected = Vec::new();
-                    let flow = wide.fan_out_collected(
-                        &query,
-                        &matching,
-                        &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                        |r| {
-                            collected.push(r);
-                            ControlFlow::Continue(())
-                        },
-                    );
-                    assert!(flow.is_continue());
-                    assert_eq!(
-                        collected, reference,
-                        "{n} shards, {token:?} k={k}: parallel == sequential"
-                    );
-
-                    // The public dispatcher agrees too.
-                    let mut scratch = SoundScratch::new();
-                    let mut dispatched = Vec::new();
-                    let _ = wide.fan_out_sound_mates(
-                        &query,
-                        &mut scratch,
-                        |id, rec| Some((id, rec.token.clone())),
-                        |r| {
-                            dispatched.push(r);
-                            ControlFlow::Continue(())
-                        },
-                    );
-                    assert_eq!(dispatched, reference);
-                }
+            match shard.by_token.get(token) {
+                Some(&id) => shard.records[id as usize].count += count.max(0) as u64,
+                None => shard.insert_new(token.to_string(), count.max(0) as u64, codes),
             }
         }
-    }
-
-    #[test]
-    fn fan_out_early_exit_yields_exact_prefix() {
-        let wide = sharded(4);
-        let query = EncodedQuery::for_token("republicans", 1).unwrap();
-        let reference = sequential_reference(&wide, &query);
-        assert!(reference.len() >= 3, "fixture has republicans variants");
-        let matching = wide.matching_shards(&query);
-        for cut in 0..=reference.len() {
-            let mut seen = Vec::new();
-            let flow = wide.fan_out_collected(
-                &query,
-                &matching,
-                &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                |r| {
-                    seen.push(r);
-                    if seen.len() > cut {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                },
-            );
-            if cut < reference.len() {
-                assert!(flow.is_break(), "cut {cut} breaks");
-                assert_eq!(seen, reference[..cut + 1], "prefix after break at {cut}");
-            } else {
-                assert!(flow.is_continue());
-                assert_eq!(seen, reference);
-            }
-        }
-    }
-
-    #[test]
-    fn bloom_routing_skips_shards_without_losing_hits() {
-        // At 8 shards most queries route to a strict subset; every hit a
-        // full (skip-free) walk finds must still be found.
-        let wide = sharded(8);
-        let mut skipped_total = 0usize;
-        for token in ["republicans", "democrats", "suic1de", "the", "dirty"] {
-            let query = EncodedQuery::for_token(token, 1).unwrap();
-            let matching = wide.matching_shards(&query);
-            skipped_total += wide.skipped_shards(&query);
-            assert_eq!(matching.len() + wide.skipped_shards(&query), 8);
-            // Walk the skipped shards exhaustively: none may contain a hit.
-            let mut scratch = SoundScratch::new();
-            for s in 0..8u32 {
-                if matching.contains(&s) {
-                    continue;
-                }
-                let mut found = 0usize;
-                let _ = wide
-                    .shard(s as usize)
-                    .for_each_sound_mate(&query, &mut scratch, |_, _| {
-                        found += 1;
-                        ControlFlow::Continue(())
-                    });
-                assert_eq!(found, 0, "skipped shard {s} had a hit for {token:?}");
-            }
-        }
-        assert!(
-            skipped_total > 0,
-            "with 8 shards and this corpus, routing must actually skip"
-        );
-    }
-
-    #[test]
-    fn batch_ingest_matches_sequential_and_single() {
-        let texts: Vec<String> = (0..40)
-            .map(|i| match i % 5 {
-                0 => format!("the dirrty republicans round {i}"),
-                1 => "thee dirty repubLIEcans".to_string(),
-                2 => format!("vacc1ne mandate pushback {i}"),
-                3 => "the vaccine mandate was announced".to_string(),
-                _ => "thinking about suic1de 🙂 ok".to_string(),
-            })
-            .collect();
-
-        let mut flat = TokenDatabase::in_memory();
-        let mut expect_n = 0;
-        for t in &texts {
-            expect_n += flat.ingest_text(t);
-        }
-
-        for n in [1usize, 3, 8] {
-            let mut seq = ShardedTokenDatabase::in_memory(n);
-            for t in &texts {
-                TokenStore::ingest_text(&mut seq, t);
-            }
-            let mut par = ShardedTokenDatabase::in_memory(n);
-            let got_n = TokenStore::ingest_texts(&mut par, &texts);
-            assert_eq!(got_n, expect_n, "{n} shards: token count");
-            for i in 0..n {
-                assert_eq!(
-                    par.shard(i).records(),
-                    seq.shard(i).records(),
-                    "{n} shards: shard {i} byte-identical to sequential"
-                );
-            }
-            assert_eq!(par.clean_sentences(), seq.clean_sentences());
-            assert_equivalent(&flat, &par);
-        }
-    }
-
-    #[test]
-    fn batch_ingest_on_prepopulated_store() {
-        let mut flat = TokenDatabase::with_lexicon();
-        let mut wide = ShardedTokenDatabase::with_lexicon(4);
-        let texts = ["the demokRATs rallied", "the demokRATs rallied again"];
-        for t in texts {
-            flat.ingest_text(t);
-        }
-        TokenStore::ingest_texts(&mut wide, &texts);
-        assert_eq!(TokenStore::get(&wide, "demokRATs").unwrap().count, 2);
-        assert_equivalent(&flat, &wide);
-    }
-
-    #[test]
-    fn from_database_preserves_everything() {
-        let flat = single();
-        for n in [1usize, 2, 5, 8] {
-            let wide = ShardedTokenDatabase::from_database(&flat, n);
-            assert_equivalent(&flat, &wide);
-        }
-    }
-
-    #[test]
-    fn persist_load_round_trip_per_shard_count() {
-        let flat = single();
-        for n in [1usize, 2, 4, 8] {
-            let wide = sharded(n);
-            let store = Database::in_memory();
-            TokenStore::persist_to(&wide, &store, "tokens").unwrap();
-            assert_eq!(
-                ShardedTokenDatabase::manifest_shards(&store, "tokens").unwrap(),
-                Some(n)
-            );
-            let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-            assert_eq!(restored.num_shards(), n);
-            assert_eq!(TokenStore::stats(&restored), flat.stats());
-            for k in 0..NUM_LEVELS {
-                assert_eq!(
-                    ShardedTokenDatabase::hashmap_view(&restored, k).unwrap(),
-                    flat.hashmap_view(k).unwrap()
-                );
-            }
-            assert_eq!(
-                look_up(&restored, "republicans", LookupParams::paper_default()).unwrap(),
-                look_up(&flat, "republicans", LookupParams::paper_default()).unwrap()
-            );
-        }
-    }
-
-    /// Count the shard collections (any generation) persisted under
-    /// `collection`.
-    fn shard_collection_count(store: &Database, collection: &str) -> usize {
-        store
-            .collections_with_prefix(&format!("{collection}__g"))
-            .iter()
-            .filter(|name| ShardedTokenDatabase::collection_generation(collection, name).is_some())
-            .count()
-    }
-
-    #[test]
-    fn repersist_replaces_and_drops_stale_shards() {
-        // Persist with 8 shards, then re-persist the same corpus with 2:
-        // the load must see exactly 2 shards and the 8 stale collections
-        // must be gone (double-persist is replace, never append).
-        let store = Database::in_memory();
-        TokenStore::persist_to(&sharded(8), &store, "tokens").unwrap();
-        assert_eq!(shard_collection_count(&store, "tokens"), 8);
-
-        let two = sharded(2);
-        TokenStore::persist_to(&two, &store, "tokens").unwrap();
-        TokenStore::persist_to(&two, &store, "tokens").unwrap(); // double persist
-        assert_eq!(shard_collection_count(&store, "tokens"), 2);
-
-        let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-        assert_eq!(restored.num_shards(), 2);
-        assert_eq!(TokenStore::stats(&restored), single().stats());
-    }
-
-    #[test]
-    fn persist_kill_between_steps_preserves_previous_state() {
-        use cryptext_common::failpoint;
-
-        let store = Database::in_memory();
-        let old = sharded(3);
-        TokenStore::persist_to(&old, &store, "tokens").unwrap();
-        let mut newer = sharded(3);
-        TokenStore::ingest_text(&mut newer, "entirely fresh zebra vocabulary");
-        let old_stats = TokenStore::stats(&old);
-        let new_stats = TokenStore::stats(&newer);
-        assert_ne!(old_stats, new_stats);
-
-        // Kill before the shard writes, then between the shard writes and
-        // the manifest swap: both must leave the old persist loadable.
-        for point in ["persist.shards.write", "persist.manifest.swap"] {
-            let guard = failpoint::arm(point, "kill");
-            let err = TokenStore::persist_to(&newer, &store, "tokens").unwrap_err();
-            assert!(failpoint::is_injected(&err), "{point}: {err}");
-            drop(guard);
-            let loaded = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-            assert_eq!(
-                TokenStore::stats(&loaded),
-                old_stats,
-                "{point}: old state intact after injected crash"
-            );
-        }
-
-        // With no failpoint armed the persist commits and sweeps every
-        // stale generation, including the crashed attempts' leftovers.
-        TokenStore::persist_to(&newer, &store, "tokens").unwrap();
-        let loaded = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-        assert_eq!(TokenStore::stats(&loaded), new_stats);
-        let gens: std::collections::BTreeSet<u64> = store
-            .collections_with_prefix("tokens__g")
-            .iter()
-            .filter_map(|n| ShardedTokenDatabase::collection_generation("tokens", n))
-            .collect();
-        assert_eq!(gens.len(), 1, "exactly one generation survives");
-        assert!(!store.has_collection("tokens__manifest_staging"));
-    }
-
-    #[test]
-    fn flat_persist_kill_at_commit_preserves_previous_state() {
-        use cryptext_common::failpoint;
-
-        let store = Database::in_memory();
-        let old = single();
-        old.persist_to(&store, "tokens").unwrap();
-        let mut newer = single();
-        newer.ingest_text("entirely fresh zebra vocabulary");
-
-        let guard = failpoint::arm("persist.commit", "kill");
-        let err = newer.persist_to(&store, "tokens").unwrap_err();
-        assert!(failpoint::is_injected(&err));
-        drop(guard);
-        let loaded = TokenDatabase::load_from(&store, "tokens").unwrap();
-        assert_eq!(loaded.stats(), old.stats(), "old state intact");
-
-        newer.persist_to(&store, "tokens").unwrap();
-        let loaded = TokenDatabase::load_from(&store, "tokens").unwrap();
-        assert_eq!(loaded.stats(), newer.stats());
-        assert!(
-            store.collections_with_prefix("tokens__").is_empty(),
-            "staging swept after commit"
-        );
-    }
-
-    #[test]
-    fn grow_one_shard_moves_minimum_and_matches_fresh_build() {
-        let flat = single();
-        for n in 1usize..=8 {
-            let mut grown = sharded(n);
-            let total: usize = (0..n).map(|i| grown.shard(i).records().len()).sum();
-            let moved = grown.grow_one_shard();
-            assert_eq!(grown.num_shards(), n + 1);
-
-            let fresh = sharded(n + 1);
-            // Exactly the records whose jump-hash home changed moved, and
-            // they all landed in the new shard — the same population a
-            // fresh (n+1)-shard build routes there.
-            assert_eq!(moved, fresh.shard(n).records().len(), "n={n}: movers");
-            assert!(moved <= total);
-            // Retained shards are byte-identical to the fresh build; the
-            // new shard holds the same record set (arrival order differs —
-            // movers drain in shard order, not corpus order).
-            for i in 0..n {
-                assert_eq!(
-                    grown.shard(i).records(),
-                    fresh.shard(i).records(),
-                    "n={n}: retained shard {i} byte-identical"
-                );
-            }
-            let sorted = |db: &ShardedTokenDatabase| {
-                let mut v: Vec<TokenRecord> = db.shard(n).records().to_vec();
-                v.sort_by(|a, b| a.token.cmp(&b.token));
-                v
-            };
-            assert_eq!(sorted(&grown), sorted(&fresh), "n={n}: new shard set");
-            assert_equivalent(&flat, &grown);
-        }
-    }
-
-    #[test]
-    fn grow_then_persist_load_round_trips() {
-        let flat = single();
-        for n in [1usize, 3, 7] {
-            let mut grown = sharded(n);
-            grown.grow_one_shard();
-            let store = Database::in_memory();
-            TokenStore::persist_to(&grown, &store, "tokens").unwrap();
-            let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-            assert_eq!(restored.num_shards(), n + 1);
-            assert_eq!(TokenStore::stats(&restored), flat.stats());
-            for k in 0..NUM_LEVELS {
-                assert_eq!(
-                    ShardedTokenDatabase::hashmap_view(&restored, k).unwrap(),
-                    flat.hashmap_view(k).unwrap()
-                );
-            }
-            assert_eq!(
-                look_up(&restored, "republicans", LookupParams::paper_default()).unwrap(),
-                look_up(&flat, "republicans", LookupParams::paper_default()).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn load_from_without_manifest_is_corrupt() {
-        let store = Database::in_memory();
-        single().persist_to(&store, "tokens").unwrap();
-        let err = ShardedTokenDatabase::load_from(&store, "tokens").unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)));
-        assert!(ShardedTokenDatabase::load_from(&store, "missing").is_err());
-    }
-
-    #[test]
-    fn crawler_feeds_sharded_store_identically() {
-        use crate::ingest::Crawler;
-        let platform = cryptext_stream::SocialPlatform::simulate(cryptext_stream::StreamConfig {
-            n_posts: 200,
-            seed: 3,
-            ..cryptext_stream::StreamConfig::default()
-        });
-        let mut flat = TokenDatabase::in_memory();
-        let mut wide = ShardedTokenDatabase::in_memory(4);
-        let a = Crawler::new().run_once(&platform, &mut flat, 0);
-        let b = Crawler::new().run_once(&platform, &mut wide, 0);
-        assert_eq!(a, b, "crawl statistics agree");
-        assert_eq!(TokenStore::stats(&wide), flat.stats());
-    }
-
-    #[test]
-    fn normalize_identical_across_backends() {
-        let mut flat = TokenDatabase::with_lexicon();
-        for t in FIXTURE_TEXTS {
-            flat.ingest_text(t);
-        }
-        let lm = cryptext_lm::NgramLm::train([
-            "biden belongs to the democrats",
-            "the republicans blocked the bill",
-            "suicide prevention is important",
-        ]);
-        let n = crate::normalize::Normalizer::new(&lm);
-        let wide = ShardedTokenDatabase::from_database(&flat, 5);
-        for text in [
-            "Biden belongs to the demokRATs",
-            "thinking about suic1de",
-            "the dirty republic@@ns everywhere",
-            "clean text stays clean",
-        ] {
-            assert_eq!(
-                n.normalize(&wide, text, crate::normalize::NormalizeParams::default())
-                    .unwrap(),
-                n.normalize(&flat, text, crate::normalize::NormalizeParams::default())
-                    .unwrap(),
-                "text {text:?}"
-            );
-        }
-    }
-
-    /// Regression for the Bloom growth policy: after a large ingest — the
-    /// `exp_bench_json` corpus (4 000 simulated posts, seed 7) plus
-    /// enough distinct-code vocabulary that **every** shard rebuilds its
-    /// summaries wider — the 8-shard skip rate over the bench query mix
-    /// must hold the PR 4 baseline (85 of 96 shard walks skipped):
-    /// growing a summary may only *sharpen* routing, never dull it. And
-    /// the routing must stay exact: no skipped shard hides a hit.
-    #[test]
-    fn grown_summaries_hold_the_bench_skip_rate_at_8_shards() {
-        let platform = cryptext_stream::SocialPlatform::simulate(cryptext_stream::StreamConfig {
-            n_posts: 4_000,
-            seed: 7,
-            ..cryptext_stream::StreamConfig::default()
-        });
-        let mut flat = TokenDatabase::with_lexicon();
-        for post in platform.posts() {
-            flat.ingest_text(&post.text);
-        }
-        // The simulated platform's vocabulary alone stays under the
-        // growth threshold; the long tail of a real crawl is what pushes
-        // the interners past it. Synthesize that tail with pairwise
-        // distinct-code tokens (disjoint from the query mix by prefix).
-        for i in 0..8 * 2_800 {
-            flat.ingest_token(&super::proptests::distinct_sound_token(i));
-        }
-        let wide = ShardedTokenDatabase::from_database(&flat, 8);
-        for s in 0..8 {
-            assert!(
-                wide.shard(s).summary_bits(0) > 4_096,
-                "shard {s} must have rebuilt its level-0 summary wider"
-            );
-        }
-
-        let queries = [
-            "democrats",
-            "republicans",
-            "vaccine",
-            "suicide",
-            "muslim",
-            "depression",
-            "vacc1ne",
-            "the",
-            "demokrats",
-            "zzzmiss",
-            "lesbian",
-            "dirty",
-        ];
-        let k = LookupParams::paper_default().k;
-        let mut walks = 0usize;
-        let mut skipped = 0usize;
-        let mut scratch = SoundScratch::new();
-        for q in queries {
-            let query = EncodedQuery::for_token(q, k).unwrap();
-            walks += 8;
-            skipped += wide.skipped_shards(&query);
-            // Exactness: every shard the router skips truly has no hits.
-            let matching = wide.matching_shards(&query);
-            for s in 0..8u32 {
-                if matching.contains(&s) {
-                    continue;
-                }
-                let mut found = 0usize;
-                let _ = wide
-                    .shard(s as usize)
-                    .for_each_sound_mate(&query, &mut scratch, |_, _| {
-                        found += 1;
-                        ControlFlow::Continue(())
-                    });
-                assert_eq!(found, 0, "skipped shard {s} had a hit for {q:?}");
-            }
-        }
-        assert!(
-            skipped >= 85,
-            "skip-rate regression: {skipped}/{walks} shard walks skipped \
-             (PR 4 baseline: 85/96)"
-        );
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use crate::lookup::{look_up, LookupParams};
-    use proptest::prelude::*;
-
-    /// Multi-word text over an alphabet that exercises leet fan-out
-    /// (1 ↔ i/l, @ ↔ a) against the seeded lexicon.
-    fn text_strategy() -> impl Strategy<Value = String> {
-        proptest::collection::vec("[a-e1@]{2,8}", 0..6).prop_map(|ws| ws.join(" "))
-    }
-
-    proptest! {
-        /// The tentpole pin: for any corpus and any shard count 1–8, the
-        /// sharded backend returns byte-identical Look Up hits, statistics,
-        /// and Table-I views to the single instance — including after a
-        /// per-shard persist/load round trip.
-        #[test]
-        fn sharded_equals_single_reference(
-            tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..25),
-            queries in proptest::collection::vec("[a-e1@O]{2,9}", 1..5),
-            shards in 1usize..=8,
-            k in 0usize..=2,
-            d in 0usize..=4,
-            exclude_identity in proptest::arbitrary::any::<bool>(),
-            observed_only in proptest::arbitrary::any::<bool>(),
-        ) {
-            let mut flat = TokenDatabase::in_memory();
-            let mut wide = ShardedTokenDatabase::in_memory(shards);
-            for t in &tokens {
-                flat.ingest_token(t);
-                TokenStore::ingest_token(&mut wide, t);
-            }
-            let mut params = LookupParams::new(k, d);
-            params.exclude_identity = exclude_identity;
-            params.observed_only = observed_only;
-
-            prop_assert_eq!(TokenStore::stats(&wide), flat.stats());
-            for level in 0..NUM_LEVELS {
-                prop_assert_eq!(
-                    ShardedTokenDatabase::hashmap_view(&wide, level).unwrap(),
-                    flat.hashmap_view(level).unwrap()
-                );
-            }
-            for q in &queries {
-                prop_assert_eq!(
-                    look_up(&wide, q, params).unwrap(),
-                    look_up(&flat, q, params).unwrap(),
-                    "query {:?} params {:?}", q, params
-                );
-                prop_assert_eq!(TokenStore::get(&wide, q), flat.get(q));
-            }
-
-            // Persist/load round trip at this shard count.
-            let store = Database::in_memory();
-            TokenStore::persist_to(&wide, &store, "tokens").unwrap();
-            let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-            prop_assert_eq!(restored.num_shards(), shards);
-            prop_assert_eq!(TokenStore::stats(&restored), flat.stats());
-            for q in &queries {
-                prop_assert_eq!(
-                    look_up(&restored, q, params).unwrap(),
-                    look_up(&flat, q, params).unwrap(),
-                    "after round trip: query {:?}", q
-                );
-            }
-        }
-
-        /// Normalization over the sharded backend is byte-identical to the
-        /// single instance: same corrected text, same spans, same scores,
-        /// same full candidate ordering.
-        #[test]
-        fn sharded_normalize_equals_single(
-            corpus in proptest::collection::vec(text_strategy(), 1..6),
-            texts in proptest::collection::vec(text_strategy(), 1..4),
-            shards in 2usize..=8,
-        ) {
-            let mut flat = TokenDatabase::with_lexicon();
-            for t in &corpus {
-                flat.ingest_text(t);
-            }
-            let wide = ShardedTokenDatabase::from_database(&flat, shards);
-            let lm = cryptext_lm::NgramLm::train(corpus.iter().map(|s| s.as_str()));
-            let n = crate::normalize::Normalizer::new(&lm);
-            let params = crate::normalize::NormalizeParams::default();
-            for text in &texts {
-                prop_assert_eq!(
-                    n.normalize(&wide, text, params).unwrap(),
-                    n.normalize(&flat, text, params).unwrap(),
-                    "text {:?} shards {}", text, shards
-                );
-            }
-        }
-
-        /// The fan-out pin: for any corpus, shard count, query, and level,
-        /// the Bloom-routed parallel collect-then-merge path produces the
-        /// exact sequence of the sequential shard walk — including after a
-        /// persist/load round trip, and including the prefix an
-        /// early-exiting sink observes.
-        #[test]
-        fn fan_out_equals_sequential_walk(
-            tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..25),
-            query_str in "[a-e1@O]{2,9}",
-            shards in 1usize..=8,
-            k in 0usize..=2,
-            cut in 0usize..=6,
-        ) {
-            let mut wide = ShardedTokenDatabase::in_memory(shards);
-            for t in &tokens {
-                TokenStore::ingest_token(&mut wide, t);
-            }
-            let query = EncodedQuery::for_token(&query_str, k).unwrap();
-
-            let reference = {
-                let mut scratch = SoundScratch::new();
-                let mut out: Vec<(u32, String)> = Vec::new();
-                let _ = TokenStore::for_each_sound_mate(&wide, &query, &mut scratch, |id, rec| {
-                    out.push((id, rec.token.clone()));
-                    ControlFlow::Continue(())
-                });
-                out
-            };
-
-            for store in [&wide, &ShardedTokenDatabase::load_from(&{
-                let s = Database::in_memory();
-                TokenStore::persist_to(&wide, &s, "tokens").unwrap();
-                s
-            }, "tokens").unwrap()] {
-                // Full parallel path, forced past the dispatch shortcut.
-                let matching = store.matching_shards(&query);
-                let mut collected: Vec<(u32, String)> = Vec::new();
-                let _ = store.fan_out_collected(
-                    &query,
-                    &matching,
-                    &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                    |r| { collected.push(r); ControlFlow::Continue(()) },
-                );
-                prop_assert_eq!(&collected, &reference, "parallel == sequential");
-
-                // Early exit after `cut` results sees exactly the prefix.
-                let mut prefix: Vec<(u32, String)> = Vec::new();
-                let _ = store.fan_out_collected(
-                    &query,
-                    &matching,
-                    &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                    |r| {
-                        prefix.push(r);
-                        if prefix.len() > cut { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
-                    },
-                );
-                let want = &reference[..reference.len().min(cut + 1)];
-                prop_assert_eq!(&prefix[..], want, "early-exit prefix");
-            }
-        }
-
-        /// `for_each_hit_until` with a breaking visitor observes exactly
-        /// the prefix of the non-breaking visit sequence, on both backends.
-        #[test]
-        fn early_exit_hits_are_a_prefix(
-            tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..20),
-            query in "[a-e1@O]{2,9}",
-            shards in 1usize..=8,
-            d in 0usize..=3,
-            cut in 0usize..=5,
-        ) {
-            let mut flat = TokenDatabase::in_memory();
-            let mut wide = ShardedTokenDatabase::in_memory(shards);
-            for t in &tokens {
-                flat.ingest_token(t);
-                TokenStore::ingest_token(&mut wide, t);
-            }
-            let params = LookupParams::new(1, d);
-            let mut scratch = crate::lookup::LookupScratch::new();
-            for backend in [true, false] {
-                let full: Vec<(u32, usize)> = {
-                    let mut out = Vec::new();
-                    if backend {
-                        crate::lookup::for_each_hit(&wide, &query, params, &mut scratch,
-                            |id, _, dist| out.push((id, dist))).unwrap();
-                    } else {
-                        crate::lookup::for_each_hit(&flat, &query, params, &mut scratch,
-                            |id, _, dist| out.push((id, dist))).unwrap();
-                    }
-                    out
-                };
-                let mut seen: Vec<(u32, usize)> = Vec::new();
-                let visit = |seen: &mut Vec<(u32, usize)>, id: u32, dist: usize| {
-                    seen.push((id, dist));
-                    if seen.len() > cut { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
-                };
-                if backend {
-                    crate::lookup::for_each_hit_until(&wide, &query, params, &mut scratch,
-                        |id, _, dist| visit(&mut seen, id, dist)).unwrap();
-                } else {
-                    crate::lookup::for_each_hit_until(&flat, &query, params, &mut scratch,
-                        |id, _, dist| visit(&mut seen, id, dist)).unwrap();
-                }
-                let want = &full[..full.len().min(cut + 1)];
-                prop_assert_eq!(&seen[..], want, "backend sharded={}", backend);
-            }
-        }
-
-        /// The resharding pin: growing N→N+1 moves only the jump-hash
-        /// movers (retained shards stay byte-identical) and every query
-        /// surface matches a fresh (N+1)-shard build of the same corpus —
-        /// including after a persist/load round trip of the grown store.
-        #[test]
-        fn grow_one_shard_equals_fresh_build(
-            tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..25),
-            queries in proptest::collection::vec("[a-e1@O]{2,9}", 1..5),
-            shards in 1usize..=8,
-            k in 0usize..=2,
-            d in 0usize..=4,
-        ) {
-            let mut grown = ShardedTokenDatabase::in_memory(shards);
-            let mut fresh = ShardedTokenDatabase::in_memory(shards + 1);
-            for t in &tokens {
-                TokenStore::ingest_token(&mut grown, t);
-                TokenStore::ingest_token(&mut fresh, t);
-            }
-            let moved = grown.grow_one_shard();
-            prop_assert_eq!(grown.num_shards(), shards + 1);
-            prop_assert_eq!(moved, fresh.shard(shards).records().len());
-            for i in 0..shards {
-                prop_assert_eq!(
-                    grown.shard(i).records(),
-                    fresh.shard(i).records(),
-                    "retained shard {}", i
-                );
-            }
-            prop_assert_eq!(TokenStore::stats(&grown), TokenStore::stats(&fresh));
-            for level in 0..NUM_LEVELS {
-                prop_assert_eq!(
-                    ShardedTokenDatabase::hashmap_view(&grown, level).unwrap(),
-                    ShardedTokenDatabase::hashmap_view(&fresh, level).unwrap()
-                );
-            }
-            let params = LookupParams::new(k, d);
-            for q in &queries {
-                prop_assert_eq!(
-                    look_up(&grown, q, params).unwrap(),
-                    look_up(&fresh, q, params).unwrap(),
-                    "query {:?}", q
-                );
-                prop_assert_eq!(TokenStore::get(&grown, q), TokenStore::get(&fresh, q));
-            }
-
-            // Persist/load round trip of the grown store.
-            let store = Database::in_memory();
-            TokenStore::persist_to(&grown, &store, "tokens").unwrap();
-            let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-            prop_assert_eq!(restored.num_shards(), shards + 1);
-            for q in &queries {
-                prop_assert_eq!(
-                    look_up(&restored, q, params).unwrap(),
-                    look_up(&fresh, q, params).unwrap(),
-                    "after round trip: query {:?}", q
-                );
-            }
-        }
-
-        /// Parallel sharded batch ingest is byte-identical (per shard) to
-        /// sequential sharded ingest of the same texts in order.
-        #[test]
-        fn sharded_batch_ingest_equals_sequential(
-            texts in proptest::collection::vec(text_strategy(), 1..10),
-            shards in 1usize..=6,
-        ) {
-            let mut seq = ShardedTokenDatabase::in_memory(shards);
-            let mut expect_n = 0;
-            for t in &texts {
-                expect_n += TokenStore::ingest_text(&mut seq, t);
-            }
-            let mut par = ShardedTokenDatabase::in_memory(shards);
-            let n = TokenStore::ingest_texts(&mut par, &texts);
-            prop_assert_eq!(n, expect_n);
-            for i in 0..shards {
-                prop_assert_eq!(par.shard(i).records(), seq.shard(i).records(), "shard {}", i);
-            }
-            prop_assert_eq!(par.clean_sentences(), seq.clean_sentences());
-        }
-    }
-
-    /// `i` → a token with a distinct customized-Soundex code at *every*
-    /// level: base-5 digits pick one consonant per Soundex class, never
-    /// repeating the previous class, so no adjacent digits collapse and
-    /// the class sequence (hence the code) is injective in `i`.
-    pub(super) fn distinct_sound_token(mut i: usize) -> String {
-        // One representative per Soundex class 1-6.
-        const CLASS: [char; 6] = ['b', 'k', 'd', 'l', 'm', 'r'];
-        let mut out = String::from("y");
-        let mut prev = usize::MAX;
-        loop {
-            let d = i % 5;
-            i /= 5;
-            let class = (0..CLASS.len())
-                .filter(|&c| c != prev)
-                .nth(d)
-                .expect("five choices remain");
-            out.push(CLASS[class]);
-            prev = class;
-            if i == 0 {
-                break;
-            }
-        }
-        out
-    }
-
-    proptest! {
-        /// Bloom growth never costs correctness: after every shard's
-        /// level-0 interner is pushed past the growth threshold (so each
-        /// summary was rebuilt from the exact interner at least once),
-        /// routing still has **no false negatives** — every stored probe
-        /// token is found through the routed walk, and every shard the
-        /// router skips truly holds no hits.
-        #[test]
-        fn grown_summaries_never_produce_false_negatives(
-            probes in proptest::collection::vec("[a-e1@O]{2,9}", 1..24),
-            shards in 2usize..=4,
-        ) {
-            let mut wide = ShardedTokenDatabase::in_memory(shards);
-            for i in 0..shards * 900 {
-                TokenStore::ingest_token(&mut wide, &distinct_sound_token(i));
-            }
-            for p in &probes {
-                TokenStore::ingest_token(&mut wide, p);
-            }
-            for s in 0..shards {
-                prop_assert!(
-                    wide.shard(s).summary_bits(0) > 4_096,
-                    "shard {} level-0 summary must have been rebuilt wider", s
-                );
-            }
-
-            let mut scratch = SoundScratch::new();
-            for p in &probes {
-                for k in 0..NUM_LEVELS {
-                    let query = EncodedQuery::for_token(p, k).unwrap();
-                    let matching = wide.matching_shards(&query);
-
-                    // The stored probe itself must surface via routing…
-                    let mut found_self = false;
-                    let _ = TokenStore::for_each_sound_mate(
-                        &wide, &query, &mut scratch, |_, rec| {
-                            found_self |= rec.token == *p;
-                            ControlFlow::Continue(())
-                        });
-                    prop_assert!(found_self, "probe {:?} lost at level {}", p, k);
-
-                    // …and skipped shards must be exactly empty for it.
-                    for s in 0..shards as u32 {
-                        if matching.contains(&s) {
-                            continue;
-                        }
-                        let mut hits = 0usize;
-                        let _ = wide.shard(s as usize).for_each_sound_mate(
-                            &query, &mut scratch, |_, _| {
-                                hits += 1;
-                                ControlFlow::Continue(())
-                            });
-                        prop_assert_eq!(
-                            hits, 0,
-                            "skipped shard {} had a hit for {:?} at level {}", s, p, k
-                        );
-                    }
-                }
-            }
-        }
+        Ok(shard)
     }
 }

@@ -1,72 +1,60 @@
-//! The storage abstraction behind every CrypText engine.
+//! The read/ingest contract behind every CrypText engine.
 //!
-//! [`TokenStore`] is the contract the engines ([`crate::lookup`],
+//! [`TokenStore`] is what the engines ([`crate::lookup`],
 //! [`crate::normalize`], [`crate::perturb`], [`crate::listening`],
-//! [`crate::ingest`]) are generic over. Two backends implement it:
+//! [`crate::ingest`]) are generic over. Two types implement it:
 //!
-//! * [`TokenDatabase`] — one in-memory instance (the original backend).
-//! * [`crate::shard::ShardedTokenDatabase`] — N independent instances
-//!   behind a consistent-hash router on the primary `H_1` Soundex code.
-//!
-//! Both backends are pinned to produce **byte-identical** Look Up,
-//! Normalization, and statistics output (see the proptests in
-//! `shard.rs`), so callers choose purely on capacity: a single instance
-//! for corpora that fit one machine, shards for corpora that do not.
-//!
-//! [`AnyTokenStore`] erases the choice at runtime — the
-//! `CRYPTEXT_SHARDS` environment variable selects the default backend,
-//! which is how CI exercises the sharded path through the entire
-//! integration-test suite without a second test tree.
+//! * [`TokenDatabase`] — the token store itself, at any shard count.
+//! * [`crate::durable::DurableTokenStore`] — a `TokenDatabase` whose
+//!   ingest is logged for crash recovery; reads delegate to the inner
+//!   store.
 //!
 //! Retrieval is **encode-once**: the walk methods take a pre-built
 //! [`EncodedQuery`] (Soundex code set + code hashes + case fold), so a
-//! query's encoding cost is paid once no matter how many shards the
-//! backend walks, and [`TokenStore::fan_out_sound_mates`] lets backends
+//! query's encoding cost is paid once no matter how many shards the store
+//! walks, and [`TokenStore::fan_out_sound_mates`] lets the store
 //! parallelize the per-candidate filter work while preserving the
 //! sequential walk's exact visit sequence ([`ControlFlow`] early exit
 //! included).
+//!
+//! Persistence is not part of the contract: [`TokenDatabase::persist_to`]
+//! and [`TokenDatabase::load_from`] move a store through the document
+//! store, and a durable store recovers through its own `open`.
 
 use std::ops::ControlFlow;
 
 use cryptext_common::metrics::MetricsRegistry;
-use cryptext_common::Result;
-use cryptext_docstore::Database;
-use cryptext_phonetics::CustomSoundex;
-use cryptext_tokenizer::tokenize_spans;
 
-use crate::database::{EncodedQuery, SoundScratch, TokenDatabase, TokenRecord, TokenStats};
-use crate::shard::ShardedTokenDatabase;
+#[cfg(doc)]
+use crate::database::TokenDatabase;
+use crate::database::{EncodedQuery, SoundScratch, TokenRecord, TokenStats};
 
-/// The storage contract of the token database (§III-A): phonetic-bucket
-/// retrieval, ingest, statistics, and document-store persistence.
+/// The read and ingest contract of the token database (§III-A).
 ///
 /// # Record ids
 ///
 /// The `u32` ids handed to [`TokenStore::for_each_sound_mate`] callbacks
-/// are backend-defined: dense indexes for [`TokenDatabase`], shard-remapped
-/// (`local * n_shards + shard`) for the sharded backend. They are unique
-/// per store and stable for the store's lifetime, and must not be
-/// interpreted beyond that.
+/// are shard-remapped (`local * n_shards + shard`; dense indexes at one
+/// shard). They are unique per store and stable until the store is
+/// resharded, and must not be interpreted beyond that.
 ///
 /// # Queries encode once
 ///
 /// The walk methods take a pre-built [`EncodedQuery`] rather than a raw
 /// token: the caller encodes a query's Soundex codes and case fold exactly
-/// once, and a sharded backend's per-shard walks all share that encoding.
-/// Construction of the query validates the phonetic level, which is why
-/// the walks are infallible ([`ControlFlow`], not `Result`).
+/// once, and the per-shard walks all share that encoding. Construction of
+/// the query validates the phonetic level, which is why the walks are
+/// infallible ([`ControlFlow`], not `Result`).
 pub trait TokenStore: Sync {
-    /// How many independent shards back this store (1 for a single
-    /// instance).
+    /// How many shards back this store.
     fn num_shards(&self) -> usize;
 
     /// Visit every record sharing a sound with the encoded `query` exactly
-    /// once. The visitor may return [`ControlFlow::Break`] to stop early;
-    /// the return value reports whether it did. See
-    /// [`TokenDatabase::for_each_sound_mate`] for the scratch discipline;
-    /// the visit order is backend-defined (shards walk in shard order),
-    /// and every engine built on this is order-insensitive by
-    /// construction.
+    /// once, in bucket insertion order, shard by shard. The visitor may
+    /// return [`ControlFlow::Break`] to stop early; the return value
+    /// reports whether it did. `scratch` carries the generation-marked
+    /// visited set; reusing one instance across calls makes the walk
+    /// allocation-free.
     fn for_each_sound_mate<'a, F>(
         &'a self,
         query: &EncodedQuery,
@@ -77,7 +65,7 @@ pub trait TokenStore: Sync {
         F: FnMut(u32, &'a TokenRecord) -> ControlFlow<()>;
 
     /// [`TokenStore::for_each_sound_mate`] split into a pure, `Sync`
-    /// per-candidate `map` and a sequential `sink`, so backends may fan
+    /// per-candidate `map` and a sequential `sink`, so the store may fan
     /// the expensive per-candidate work (the `map` — e.g. the bounded
     /// Levenshtein filter) out across shards in parallel.
     ///
@@ -86,265 +74,8 @@ pub trait TokenStore: Sync {
     /// `sink` inline, early exit included: `sink` receives results in the
     /// exact order the sequential walk would produce them, and a
     /// [`ControlFlow::Break`] from `sink` discards the rest. (`map` must
-    /// be pure — a parallel backend may run it for candidates whose
-    /// results a broken-out-of `sink` never sees.)
-    ///
-    /// The default implementation is the sequential inline form; the
-    /// sharded backend overrides it with Bloom-routed parallel fan-out.
-    fn fan_out_sound_mates<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        map: M,
-        mut sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        self.for_each_sound_mate(query, scratch, |id, rec| match map(id, rec) {
-            Some(r) => sink(r),
-            None => ControlFlow::Continue(()),
-        })
-    }
-
-    /// Fetch a token's record (case-sensitive).
-    fn get(&self, token: &str) -> Option<&TokenRecord>;
-
-    /// Aggregate statistics. Backends must agree: the sharded store
-    /// reports the same numbers as a single instance over the same corpus.
-    fn stats(&self) -> TokenStats;
-
-    /// Distinct stored tokens — the cheap subset of [`TokenStore::stats`]
-    /// (O(shards), no sound-set unions) for callers like the crawler that
-    /// only track growth.
-    fn unique_tokens(&self) -> usize;
-
-    /// Clean sentences accumulated for LM training.
-    fn clean_sentences(&self) -> &[String];
-
-    /// The phonetic encoder for level `k` (identical across backends).
-    fn soundex(&self, k: usize) -> Result<&CustomSoundex>;
-
-    /// Materialize the `H_k` map at level `k` as sorted `(code, tokens)`
-    /// pairs — the exact shape of the paper's Table I.
-    fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>>;
-
-    /// Ingest one raw token occurrence (gates: ≥ 2 chars, phonetic
-    /// content).
-    fn ingest_token(&mut self, token: &str);
-
-    /// Tokenize and ingest one text; returns the word-token count. The
-    /// default implementation defines the canonical loop — word tokens
-    /// through [`TokenStore::ingest_token`], fully-in-dictionary sentences
-    /// recorded for LM training — so backends cannot drift from each
-    /// other; [`TokenDatabase`] overrides it with its original (identical)
-    /// inherent method.
-    fn ingest_text(&mut self, text: &str) -> usize {
-        let mut n = 0;
-        let mut all_english = true;
-        let mut any_word = false;
-        for tok in tokenize_spans(text) {
-            if tok.is_word() {
-                let word = tok.text(text);
-                any_word = true;
-                self.ingest_token(word);
-                if !cryptext_corpus::is_english_word(word) {
-                    all_english = false;
-                }
-                n += 1;
-            }
-        }
-        if any_word && all_english {
-            self.record_clean_sentence(text);
-        }
-        n
-    }
-
-    /// Batch ingest with the expensive per-token work parallelized;
-    /// byte-identical to calling [`TokenStore::ingest_text`] per text in
-    /// order.
-    fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize;
-
-    /// Record a known-clean sentence for LM training.
-    fn record_clean_sentence(&mut self, text: &str);
-
-    /// Seed/refresh every dictionary word as an `is_english` record.
-    fn seed_lexicon(&mut self);
-
-    /// Persist the whole store into `store` under `collection`,
-    /// replacing any previous persist of the same name.
-    fn persist_to(&self, store: &Database, collection: &str) -> Result<()>;
-
-    /// Rebuild a store from a previous [`TokenStore::persist_to`]. Clean
-    /// sentences are not persisted.
-    fn load_from(store: &Database, collection: &str) -> Result<Self>
-    where
-        Self: Sized;
-
-    /// Register this backend's observability instruments (shard-walk and
-    /// Bloom-skip counters, durable-log timings, …) with `registry`.
-    /// Backends with nothing to report keep the no-op default; the
-    /// service facade calls this once at construction.
-    fn register_metrics(&self, registry: &MetricsRegistry) {
-        let _ = registry;
-    }
-}
-
-impl TokenStore for TokenDatabase {
-    fn num_shards(&self) -> usize {
-        1
-    }
-
-    fn for_each_sound_mate<'a, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        f: F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(u32, &'a TokenRecord) -> ControlFlow<()>,
-    {
-        TokenDatabase::for_each_sound_mate(self, query, scratch, f)
-    }
-
-    fn get(&self, token: &str) -> Option<&TokenRecord> {
-        TokenDatabase::get(self, token)
-    }
-
-    fn stats(&self) -> TokenStats {
-        TokenDatabase::stats(self)
-    }
-
-    fn unique_tokens(&self) -> usize {
-        self.records().len()
-    }
-
-    fn clean_sentences(&self) -> &[String] {
-        TokenDatabase::clean_sentences(self)
-    }
-
-    fn soundex(&self, k: usize) -> Result<&CustomSoundex> {
-        TokenDatabase::soundex(self, k)
-    }
-
-    fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>> {
-        TokenDatabase::hashmap_view(self, k)
-    }
-
-    fn ingest_token(&mut self, token: &str) {
-        TokenDatabase::ingest_token(self, token)
-    }
-
-    fn ingest_text(&mut self, text: &str) -> usize {
-        TokenDatabase::ingest_text(self, text)
-    }
-
-    fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize {
-        TokenDatabase::ingest_texts(self, texts)
-    }
-
-    fn record_clean_sentence(&mut self, text: &str) {
-        TokenDatabase::record_clean_sentence(self, text)
-    }
-
-    fn seed_lexicon(&mut self) {
-        TokenDatabase::seed_lexicon(self)
-    }
-
-    fn persist_to(&self, store: &Database, collection: &str) -> Result<()> {
-        TokenDatabase::persist_to(self, store, collection)
-    }
-
-    fn load_from(store: &Database, collection: &str) -> Result<Self> {
-        TokenDatabase::load_from(store, collection)
-    }
-}
-
-/// A runtime-selected [`TokenStore`] backend.
-///
-/// [`AnyTokenStore::from_env`] picks the backend from the
-/// `CRYPTEXT_SHARDS` environment variable (absent, empty, or `1` → the
-/// single instance; `N > 1` → `N` consistent-hash shards), which lets one
-/// binary — and one test suite — exercise either storage layout without
-/// recompiling.
-// One AnyTokenStore exists per assembled system — never in collections —
-// so the variant size gap is irrelevant and boxing would only add an
-// indirection to every read.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyTokenStore {
-    /// One in-memory instance.
-    Single(TokenDatabase),
-    /// Consistent-hash shards.
-    Sharded(ShardedTokenDatabase),
-}
-
-impl AnyTokenStore {
-    /// The shard count selected by `CRYPTEXT_SHARDS` (default 1).
-    pub fn env_shards() -> usize {
-        std::env::var("CRYPTEXT_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    }
-
-    /// Wrap `db` in the env-selected backend: kept as-is for one shard,
-    /// resharded (preserving counts, lexicon seeds, and clean sentences)
-    /// for `CRYPTEXT_SHARDS > 1`.
-    pub fn from_env(db: TokenDatabase) -> Self {
-        let n = Self::env_shards();
-        if n <= 1 {
-            AnyTokenStore::Single(db)
-        } else {
-            AnyTokenStore::Sharded(ShardedTokenDatabase::from_database(&db, n))
-        }
-    }
-
-    /// The single-instance backend, if that is what this is.
-    pub fn as_single(&self) -> Option<&TokenDatabase> {
-        match self {
-            AnyTokenStore::Single(db) => Some(db),
-            AnyTokenStore::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded backend, if that is what this is.
-    pub fn as_sharded(&self) -> Option<&ShardedTokenDatabase> {
-        match self {
-            AnyTokenStore::Sharded(db) => Some(db),
-            AnyTokenStore::Single(_) => None,
-        }
-    }
-}
-
-impl TokenStore for AnyTokenStore {
-    fn num_shards(&self) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => db.num_shards(),
-            AnyTokenStore::Sharded(db) => db.num_shards(),
-        }
-    }
-
-    fn for_each_sound_mate<'a, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        f: F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(u32, &'a TokenRecord) -> ControlFlow<()>,
-    {
-        match self {
-            AnyTokenStore::Single(db) => db.for_each_sound_mate(query, scratch, f),
-            AnyTokenStore::Sharded(db) => TokenStore::for_each_sound_mate(db, query, scratch, f),
-        }
-    }
-
-    // Forwarded explicitly: without this the enum would fall back to the
-    // trait's sequential default and the sharded backend's Bloom-routed
-    // parallel fan-out would never run behind `AnyTokenStore`.
+    /// be pure — a parallel walk may run it for candidates whose results a
+    /// broken-out-of `sink` never sees.)
     fn fan_out_sound_mates<'a, M, R, F>(
         &'a self,
         query: &EncodedQuery,
@@ -355,200 +86,42 @@ impl TokenStore for AnyTokenStore {
     where
         M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
         R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        match self {
-            AnyTokenStore::Single(db) => db.fan_out_sound_mates(query, scratch, map, sink),
-            AnyTokenStore::Sharded(db) => db.fan_out_sound_mates(query, scratch, map, sink),
-        }
-    }
+        F: FnMut(R) -> ControlFlow<()>;
 
-    fn get(&self, token: &str) -> Option<&TokenRecord> {
-        match self {
-            AnyTokenStore::Single(db) => db.get(token),
-            AnyTokenStore::Sharded(db) => db.get(token),
-        }
-    }
+    /// Fetch a token's record (case-sensitive).
+    fn get(&self, token: &str) -> Option<&TokenRecord>;
 
-    fn stats(&self) -> TokenStats {
-        match self {
-            AnyTokenStore::Single(db) => db.stats(),
-            AnyTokenStore::Sharded(db) => db.stats(),
-        }
-    }
+    /// Aggregate statistics, independent of the shard count.
+    fn stats(&self) -> TokenStats;
 
-    fn unique_tokens(&self) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => TokenStore::unique_tokens(db),
-            AnyTokenStore::Sharded(db) => TokenStore::unique_tokens(db),
-        }
-    }
+    /// Distinct stored tokens — the cheap subset of [`TokenStore::stats`]
+    /// (no sound-set unions) for callers like the crawler that only track
+    /// growth.
+    fn unique_tokens(&self) -> usize;
 
-    fn clean_sentences(&self) -> &[String] {
-        match self {
-            AnyTokenStore::Single(db) => db.clean_sentences(),
-            AnyTokenStore::Sharded(db) => db.clean_sentences(),
-        }
-    }
+    /// Clean sentences accumulated for LM training.
+    fn clean_sentences(&self) -> &[String];
 
-    fn soundex(&self, k: usize) -> Result<&CustomSoundex> {
-        match self {
-            AnyTokenStore::Single(db) => db.soundex(k),
-            AnyTokenStore::Sharded(db) => db.soundex(k),
-        }
-    }
+    /// Ingest one raw token occurrence (gates: ≥ 2 chars, phonetic
+    /// content).
+    fn ingest_token(&mut self, token: &str);
 
-    fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>> {
-        match self {
-            AnyTokenStore::Single(db) => db.hashmap_view(k),
-            AnyTokenStore::Sharded(db) => db.hashmap_view(k),
-        }
-    }
+    /// Tokenize and ingest one text; returns the word-token count.
+    /// Fully-in-dictionary sentences are recorded for LM training.
+    fn ingest_text(&mut self, text: &str) -> usize;
 
-    fn ingest_token(&mut self, token: &str) {
-        match self {
-            AnyTokenStore::Single(db) => db.ingest_token(token),
-            AnyTokenStore::Sharded(db) => TokenStore::ingest_token(db, token),
-        }
-    }
+    /// Batch ingest, byte-identical to calling [`TokenStore::ingest_text`]
+    /// per text in order.
+    fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize;
 
-    fn ingest_text(&mut self, text: &str) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => db.ingest_text(text),
-            AnyTokenStore::Sharded(db) => TokenStore::ingest_text(db, text),
-        }
-    }
+    /// Record a known-clean sentence for LM training.
+    fn record_clean_sentence(&mut self, text: &str);
 
-    fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => db.ingest_texts(texts),
-            AnyTokenStore::Sharded(db) => TokenStore::ingest_texts(db, texts),
-        }
-    }
+    /// Seed/refresh every dictionary word as an `is_english` record.
+    fn seed_lexicon(&mut self);
 
-    fn record_clean_sentence(&mut self, text: &str) {
-        match self {
-            AnyTokenStore::Single(db) => db.record_clean_sentence(text),
-            AnyTokenStore::Sharded(db) => db.record_clean_sentence(text),
-        }
-    }
-
-    fn seed_lexicon(&mut self) {
-        match self {
-            AnyTokenStore::Single(db) => db.seed_lexicon(),
-            AnyTokenStore::Sharded(db) => TokenStore::seed_lexicon(db),
-        }
-    }
-
-    fn persist_to(&self, store: &Database, collection: &str) -> Result<()> {
-        match self {
-            AnyTokenStore::Single(db) => db.persist_to(store, collection),
-            AnyTokenStore::Sharded(db) => TokenStore::persist_to(db, store, collection),
-        }
-    }
-
-    fn register_metrics(&self, registry: &MetricsRegistry) {
-        match self {
-            AnyTokenStore::Single(db) => TokenStore::register_metrics(db, registry),
-            AnyTokenStore::Sharded(db) => TokenStore::register_metrics(db, registry),
-        }
-    }
-
-    /// Backend auto-detection: a shard-count manifest means a sharded
-    /// persist; otherwise the collection is a single-instance persist.
-    fn load_from(store: &Database, collection: &str) -> Result<Self> {
-        if ShardedTokenDatabase::manifest_shards(store, collection)?.is_some() {
-            Ok(AnyTokenStore::Sharded(ShardedTokenDatabase::load_from(
-                store, collection,
-            )?))
-        } else {
-            Ok(AnyTokenStore::Single(TokenDatabase::load_from(
-                store, collection,
-            )?))
-        }
-    }
-}
-
-impl std::fmt::Debug for AnyTokenStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnyTokenStore::Single(db) => f.debug_tuple("Single").field(db).finish(),
-            AnyTokenStore::Sharded(db) => f.debug_tuple("Sharded").field(db).finish(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_shards_parses_and_defaults() {
-        // Note: reads the live environment; the suite may legitimately run
-        // under CRYPTEXT_SHARDS (that is the CI sharded pass), so only
-        // assert the contract, not a specific value.
-        let n = AnyTokenStore::env_shards();
-        assert!(n >= 1);
-    }
-
-    #[test]
-    fn from_env_respects_single_default() {
-        // Build both variants explicitly — from_env depends on the live
-        // environment, so test the wrapping paths directly.
-        let mut db = TokenDatabase::in_memory();
-        db.ingest_text("the dirrty republicans");
-        let stats = db.stats();
-
-        let single = AnyTokenStore::Single(db);
-        assert_eq!(single.num_shards(), 1);
-        assert!(single.as_single().is_some());
-        assert_eq!(single.stats(), stats);
-
-        let mut db2 = TokenDatabase::in_memory();
-        db2.ingest_text("the dirrty republicans");
-        let sharded = AnyTokenStore::Sharded(ShardedTokenDatabase::from_database(&db2, 3));
-        assert_eq!(sharded.num_shards(), 3);
-        assert!(sharded.as_sharded().is_some());
-        assert_eq!(sharded.stats(), stats, "resharding preserves statistics");
-    }
-
-    #[test]
-    fn switching_sharded_to_single_persist_drops_shard_collections() {
-        // Persist sharded under "tokens", then persist the single backend
-        // under the same name: the shard collections (a full corpus copy)
-        // must be swept, and load_from must detect the flat layout.
-        let mut db = TokenDatabase::in_memory();
-        db.ingest_text("the dirrty republicans");
-        let store = Database::in_memory();
-        TokenStore::persist_to(
-            &ShardedTokenDatabase::from_database(&db, 6),
-            &store,
-            "tokens",
-        )
-        .unwrap();
-        assert_eq!(store.collections_with_prefix("tokens__g").len(), 6);
-
-        db.persist_to(&store, "tokens").unwrap();
-        assert!(store.collections_with_prefix("tokens__g").is_empty());
-        let restored = AnyTokenStore::load_from(&store, "tokens").unwrap();
-        assert!(restored.as_single().is_some());
-        assert_eq!(restored.stats(), db.stats());
-    }
-
-    #[test]
-    fn load_from_detects_backend() {
-        let mut db = TokenDatabase::in_memory();
-        db.ingest_text("the dirrty republicans");
-        let store = Database::in_memory();
-
-        TokenStore::persist_to(&db, &store, "flat").unwrap();
-        let sharded = ShardedTokenDatabase::from_database(&db, 4);
-        TokenStore::persist_to(&sharded, &store, "wide").unwrap();
-
-        let a = AnyTokenStore::load_from(&store, "flat").unwrap();
-        assert!(a.as_single().is_some());
-        let b = AnyTokenStore::load_from(&store, "wide").unwrap();
-        assert_eq!(b.num_shards(), 4);
-        assert_eq!(a.stats(), b.stats());
-    }
+    /// Register this store's observability instruments (shard-walk and
+    /// Bloom-skip counters, durable-log timings, …) with `registry`. The
+    /// service facade calls this once at construction.
+    fn register_metrics(&self, registry: &MetricsRegistry);
 }

@@ -4,7 +4,7 @@
 //!
 //! * cached vs uncached `look_up` / `normalize` are **byte-identical** —
 //!   cold fill, warm hit, and again across a generation bump — for shard
-//!   counts 1–8 including a persist/load round trip of the sharded store
+//!   counts 1–8 including a persist/load round trip of the store
 //!   (proptest);
 //! * TTL expiry (simulated clock) drops entries and the recompute is
 //!   byte-identical to the original answer;
@@ -22,7 +22,7 @@ use cryptext::cache::{CacheConfig, CacheStore, SharedCacheStore, SHARED_PUT_FAIL
 use cryptext::common::{failpoint, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{CrypText, LookupParams, NormalizeParams, ShardedTokenDatabase, TokenStore};
+use cryptext::core::{CrypText, LookupParams, NormalizeParams};
 use cryptext::docstore::Database;
 use proptest::prelude::*;
 
@@ -66,7 +66,7 @@ fn fixture_service(ttl_ms: u64) -> (CryptextService<TokenDatabase>, SimClock) {
 
 proptest! {
     /// The tentpole pin: for any small corpus, any shard count 1–8, and a
-    /// persist/load round trip of the sharded store, the service's cached
+    /// persist/load round trip of the store, the service's cached
     /// `look_up` and `normalize` answers are byte-identical to the bare
     /// engine's — on the cold fill, on the warm hit, and again on both
     /// sides of a generation bump. Out-of-vocabulary queries ride along so
@@ -78,20 +78,20 @@ proptest! {
         k in 0usize..=2,
         d in 1usize..=3,
     ) {
-        let mut flat = TokenDatabase::in_memory();
+        let mut db = TokenDatabase::with_shards(shards);
         for line in tokens.chunks(3) {
-            flat.ingest_text(&line.join(" "));
+            db.ingest_text(&line.join(" "));
         }
 
-        // Persist the resharded store and load it twice: one copy feeds
-        // the uncached reference engine, the other the caching service.
-        // Both train their LM from the same recovered clean sentences, so
-        // any divergence below is the cache's fault alone.
+        // Persist the store and load it twice: one copy feeds the
+        // uncached reference engine, the other the caching service. Both
+        // train their LM from the same recovered clean sentences, so any
+        // divergence below is the cache's fault alone.
         let docs = Database::in_memory();
-        ShardedTokenDatabase::from_database(&flat, shards).persist_to(&docs, "tokens").unwrap();
-        let engine = CrypText::with_store(ShardedTokenDatabase::load_from(&docs, "tokens").unwrap());
+        db.persist_to(&docs, "tokens").unwrap();
+        let engine = CrypText::new(TokenDatabase::load_from(&docs, "tokens").unwrap());
         let svc = CryptextService::new(
-            CrypText::with_store(ShardedTokenDatabase::load_from(&docs, "tokens").unwrap()),
+            CrypText::new(TokenDatabase::load_from(&docs, "tokens").unwrap()),
             ServiceConfig { rate_limit_per_minute: 1_000_000, ..ServiceConfig::default() },
             Arc::new(SimClock::new(0)),
         );

@@ -2,9 +2,9 @@
 //! **environment-driven** failpoint plane.
 //!
 //! The in-crate crash sweeps (`cryptext-core/src/durable.rs`) arm
-//! thread-local failpoints and kill at every caller-thread write boundary.
-//! Thread-local arming is invisible on the worker-pool threads the sharded
-//! backend persists on, so this test covers the other plane:
+//! thread-local failpoints and run on one thread. Thread-local arming is
+//! invisible on the worker-pool threads a multi-shard store persists on
+//! in production, so this test covers the other plane:
 //! `CRYPTEXT_FAILPOINTS` is process-global and fires everywhere, worker
 //! threads included.
 //!
@@ -22,7 +22,7 @@
 
 use cryptext::common::failpoint;
 use cryptext::core::durable::{DurableOptions, DurableTokenStore};
-use cryptext::core::{ShardedTokenDatabase, TokenStats, TokenStore};
+use cryptext::core::{TokenDatabase, TokenStats};
 use cryptext::stream::{SocialPlatform, StreamConfig};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -45,13 +45,13 @@ fn posts() -> Vec<String> {
 }
 
 /// Reference states: `out[k]` is the stats after ingesting the first `k`
-/// posts into an ordinary in-memory sharded store.
+/// posts into an ordinary in-memory store.
 fn prefix_stats(posts: &[String], shards: usize) -> Vec<TokenStats> {
-    let mut db = ShardedTokenDatabase::in_memory(shards);
-    let mut out = vec![TokenStore::stats(&db)];
+    let mut db = TokenDatabase::with_shards(shards);
+    let mut out = vec![db.stats()];
     for p in posts {
-        TokenStore::ingest_text(&mut db, p);
-        out.push(TokenStore::stats(&db));
+        db.ingest_text(p);
+        out.push(db.stats());
     }
     out
 }
@@ -67,7 +67,7 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
         sync_every_batch: false,
     };
 
-    let mut dur = match DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts) {
+    let mut dur = match DurableTokenStore::open(&dir, opts) {
         Ok(d) => d,
         Err(e) => {
             // An env kill with a tiny threshold can fire inside the very
@@ -82,7 +82,7 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
     };
 
     // One batch per post, compacting every 30 posts — the compactions
-    // drive the sharded persist across the worker pool, where only the
+    // drive the two-shard persist across the worker pool, where only the
     // env plane can inject.
     let mut failure: Option<cryptext::common::Error> = None;
     for (i, post) in posts.iter().enumerate() {
@@ -105,7 +105,7 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
                 "armed run should have hit its failpoint"
             );
             assert_eq!(
-                TokenStore::stats(dur.inner()),
+                dur.inner().stats(),
                 prefixes[posts.len()],
                 "unarmed workload lands on the full reference"
             );
@@ -120,9 +120,8 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
     // Recovery must open (it only reads and truncates torn tails — env
     // failpoints sit on write boundaries) and must land on the state
     // after some whole number of posts: a batch is all-or-nothing.
-    let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts)
-        .expect("recovery open never fails");
-    let got = TokenStore::stats(dur.inner());
+    let dur = DurableTokenStore::open(&dir, opts).expect("recovery open never fails");
+    let got = dur.inner().stats();
     let k = prefixes.iter().position(|s| *s == got);
     assert!(
         k.is_some(),

@@ -2,7 +2,7 @@
 //! document store, including crash-style recovery.
 
 use cryptext::core::database::TokenDatabase;
-use cryptext::core::{look_up, LookupParams, ShardedTokenDatabase, TokenStore};
+use cryptext::core::{look_up, LookupParams};
 use cryptext::docstore::{Database, DbOptions, Filter};
 use cryptext::stream::{SocialPlatform, StreamConfig};
 
@@ -18,12 +18,16 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
 }
 
 fn build_token_db(seed: u64) -> TokenDatabase {
+    build_sharded_db(seed, 1)
+}
+
+fn build_sharded_db(seed: u64, shards: usize) -> TokenDatabase {
     let platform = SocialPlatform::simulate(StreamConfig {
         n_posts: 800,
         seed,
         ..StreamConfig::default()
     });
-    let mut db = TokenDatabase::in_memory();
+    let mut db = TokenDatabase::with_shards(shards);
     for post in platform.posts() {
         db.ingest_text(&post.text);
     }
@@ -102,7 +106,7 @@ fn sharded_database_survives_store_reopen() {
     // reassembled byte-identically across a real disk reopen.
     let dir = tmp_dir("sharded-reopen");
     let flat = build_token_db(4);
-    let wide = ShardedTokenDatabase::from_database(&flat, 4);
+    let wide = build_sharded_db(4, 4);
 
     {
         let store = Database::open(&dir, DbOptions::default()).unwrap();
@@ -110,11 +114,8 @@ fn sharded_database_survives_store_reopen() {
         store.checkpoint().unwrap();
     }
     let store = Database::open(&dir, DbOptions::default()).unwrap();
-    assert_eq!(
-        ShardedTokenDatabase::manifest_shards(&store, "tokens").unwrap(),
-        Some(4)
-    );
-    let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
+    let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
+    assert_eq!(restored.num_shards(), 4);
     assert_eq!(restored.stats(), flat.stats());
     let a = look_up(&flat, "vaccine", LookupParams::paper_default()).unwrap();
     let b = look_up(&restored, "vaccine", LookupParams::paper_default()).unwrap();
@@ -131,18 +132,14 @@ fn sharded_repersist_with_fewer_shards_replaces_layout() {
     let flat = build_token_db(5);
     {
         let store = Database::open(&dir, DbOptions::default()).unwrap();
-        ShardedTokenDatabase::from_database(&flat, 6)
-            .persist_to(&store, "tokens")
-            .unwrap();
-        ShardedTokenDatabase::from_database(&flat, 2)
-            .persist_to(&store, "tokens")
-            .unwrap();
+        build_sharded_db(5, 6).persist_to(&store, "tokens").unwrap();
+        build_sharded_db(5, 2).persist_to(&store, "tokens").unwrap();
     }
     let store = Database::open(&dir, DbOptions::default()).unwrap();
     // Shard collections are generation-tagged (`tokens__g{g}__shard{i}`);
     // exactly one generation — the 2-shard one — may survive the sweep.
     assert_eq!(store.collections_with_prefix("tokens__g").len(), 2);
-    let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
+    let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
     assert_eq!(restored.num_shards(), 2);
     assert_eq!(restored.stats(), flat.stats());
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,25 +7,27 @@ use cryptext::cache::CacheStats;
 use cryptext::common::{Error, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{AnyTokenStore, CrypText, LookupParams, NormalizeParams, PerturbParams};
+use cryptext::core::{CrypText, LookupParams, NormalizeParams, PerturbParams};
 use cryptext::stream::{SocialPlatform, StreamConfig};
 
-/// The facade under test fronts the `CRYPTEXT_SHARDS`-selected backend
-/// (CI re-runs this suite with `CRYPTEXT_SHARDS=4`), so every endpoint is
-/// exercised over both the single instance and the sharded store.
-fn service(limit: u32) -> (CryptextService<AnyTokenStore>, SimClock) {
+/// Every test runs its assertions over a one-shard and a four-shard
+/// store, so every endpoint is exercised at both.
+const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+fn service(limit: u32, shards: usize) -> (CryptextService, SimClock) {
     let platform = SocialPlatform::simulate(StreamConfig {
         n_posts: 1_200,
         seed: 77,
         ..StreamConfig::default()
     });
-    let mut db = TokenDatabase::with_lexicon();
+    let mut db = TokenDatabase::with_shards(shards);
+    db.seed_lexicon();
     for post in platform.posts() {
         db.ingest_text(&post.text);
     }
     let clock = SimClock::new(0);
     let svc = CryptextService::new(
-        CrypText::from_env(db),
+        CrypText::new(db),
         ServiceConfig {
             rate_limit_per_minute: limit,
             ..ServiceConfig::default()
@@ -37,112 +39,122 @@ fn service(limit: u32) -> (CryptextService<AnyTokenStore>, SimClock) {
 
 #[test]
 fn full_api_surface_with_one_token() {
-    let (svc, _) = service(1_000);
-    let token = svc.issue_token("integration");
+    for shards in SHARD_COUNTS {
+        let (svc, _) = service(1_000, shards);
+        let token = svc.issue_token("integration");
 
-    let hits = svc
-        .look_up(&token, "vaccine", LookupParams::paper_default())
-        .unwrap();
-    assert!(!hits.is_empty());
+        let hits = svc
+            .look_up(&token, "vaccine", LookupParams::paper_default())
+            .unwrap();
+        assert!(!hits.is_empty());
 
-    let bulk = svc
-        .look_up_bulk(
-            &token,
-            &["democrats", "republicans", "vaccine"],
-            LookupParams::paper_default(),
-        )
-        .unwrap();
-    assert_eq!(bulk.len(), 3);
+        let bulk = svc
+            .look_up_bulk(
+                &token,
+                &["democrats", "republicans", "vaccine"],
+                LookupParams::paper_default(),
+            )
+            .unwrap();
+        assert_eq!(bulk.len(), 3);
 
-    let norm = svc
-        .normalize(&token, "the vacc1ne mandate", NormalizeParams::default())
-        .unwrap();
-    assert_eq!(norm.text, "the vaccine mandate");
+        let norm = svc
+            .normalize(&token, "the vacc1ne mandate", NormalizeParams::default())
+            .unwrap();
+        assert_eq!(norm.text, "the vaccine mandate");
 
-    let pert = svc
-        .perturb(
-            &token,
-            "the vaccine mandate",
-            PerturbParams::with_ratio(1.0),
-        )
-        .unwrap();
-    assert!(pert.replacements.len() + pert.misses > 0);
+        let pert = svc
+            .perturb(
+                &token,
+                "the vaccine mandate",
+                PerturbParams::with_ratio(1.0),
+            )
+            .unwrap();
+        assert!(pert.replacements.len() + pert.misses > 0);
+    }
 }
 
 #[test]
 fn cache_carries_repeat_traffic() {
-    let (svc, _) = service(100_000);
-    let token = svc.issue_token("hot");
-    let queries = ["democrats", "republicans", "vaccine", "muslim"];
-    for _ in 0..50 {
-        for q in queries {
-            svc.look_up(&token, q, LookupParams::paper_default())
-                .unwrap();
+    for shards in SHARD_COUNTS {
+        let (svc, _) = service(100_000, shards);
+        let token = svc.issue_token("hot");
+        let queries = ["democrats", "republicans", "vaccine", "muslim"];
+        for _ in 0..50 {
+            for q in queries {
+                svc.look_up(&token, q, LookupParams::paper_default())
+                    .unwrap();
+            }
         }
+        let CacheStats { hits, misses, .. } = svc.cache_stats();
+        assert_eq!(misses, queries.len() as u64, "one miss per distinct query");
+        assert_eq!(hits, (50 * queries.len() - queries.len()) as u64);
     }
-    let CacheStats { hits, misses, .. } = svc.cache_stats();
-    assert_eq!(misses, queries.len() as u64, "one miss per distinct query");
-    assert_eq!(hits, (50 * queries.len() - queries.len()) as u64);
 }
 
 #[test]
 fn rate_limited_clients_recover_next_window() {
-    let (svc, clock) = service(5);
-    let token = svc.issue_token("bursty");
-    let mut ok = 0;
-    let mut limited = 0;
-    for _ in 0..8 {
-        match svc.look_up(&token, "vaccine", LookupParams::paper_default()) {
-            Ok(_) => ok += 1,
-            Err(Error::RateLimited { .. }) => limited += 1,
-            Err(e) => panic!("unexpected error {e}"),
+    for shards in SHARD_COUNTS {
+        let (svc, clock) = service(5, shards);
+        let token = svc.issue_token("bursty");
+        let mut ok = 0;
+        let mut limited = 0;
+        for _ in 0..8 {
+            match svc.look_up(&token, "vaccine", LookupParams::paper_default()) {
+                Ok(_) => ok += 1,
+                Err(Error::RateLimited { .. }) => limited += 1,
+                Err(e) => panic!("unexpected error {e}"),
+            }
         }
+        assert_eq!((ok, limited), (5, 3));
+        clock.advance(60_001);
+        assert!(svc
+            .look_up(&token, "vaccine", LookupParams::paper_default())
+            .is_ok());
     }
-    assert_eq!((ok, limited), (5, 3));
-    clock.advance(60_001);
-    assert!(svc
-        .look_up(&token, "vaccine", LookupParams::paper_default())
-        .is_ok());
 }
 
 #[test]
 fn concurrent_clients_are_isolated() {
-    let (svc, _) = service(200);
-    let svc = Arc::new(svc);
-    let mut handles = Vec::new();
-    for c in 0..6 {
-        let svc = Arc::clone(&svc);
-        handles.push(std::thread::spawn(move || {
-            let token = svc.issue_token(&format!("client{c}"));
-            let mut ok = 0;
-            for i in 0..100 {
-                let q = ["democrats", "vaccine", "republicans"][i % 3];
-                if svc
-                    .look_up(&token, q, LookupParams::paper_default())
-                    .is_ok()
-                {
-                    ok += 1;
+    for shards in SHARD_COUNTS {
+        let (svc, _) = service(200, shards);
+        let svc = Arc::new(svc);
+        let mut handles = Vec::new();
+        for c in 0..6 {
+            let svc = Arc::clone(&svc);
+            handles.push(std::thread::spawn(move || {
+                let token = svc.issue_token(&format!("client{c}"));
+                let mut ok = 0;
+                for i in 0..100 {
+                    let q = ["democrats", "vaccine", "republicans"][i % 3];
+                    if svc
+                        .look_up(&token, q, LookupParams::paper_default())
+                        .is_ok()
+                    {
+                        ok += 1;
+                    }
                 }
-            }
-            ok
-        }));
-    }
-    for h in handles {
-        assert_eq!(h.join().unwrap(), 100, "each client within its own budget");
+                ok
+            }));
+        }
+        for h in handles {
+            assert_eq!(h.join().unwrap(), 100, "each client within its own budget");
+        }
     }
 }
 
 #[test]
 fn invalid_params_surface_as_errors_not_panics() {
-    let (svc, _) = service(100);
-    let token = svc.issue_token("edge");
-    assert!(matches!(
-        svc.look_up(&token, "x", LookupParams::new(9, 1)),
-        Err(Error::InvalidArgument(_))
-    ));
-    let bad = NormalizeParams {
-        k: 7,
-        ..NormalizeParams::default()
-    };
-    assert!(svc.normalize(&token, "text", bad).is_err());
+    for shards in SHARD_COUNTS {
+        let (svc, _) = service(100, shards);
+        let token = svc.issue_token("edge");
+        assert!(matches!(
+            svc.look_up(&token, "x", LookupParams::new(9, 1)),
+            Err(Error::InvalidArgument(_))
+        ));
+        let bad = NormalizeParams {
+            k: 7,
+            ..NormalizeParams::default()
+        };
+        assert!(svc.normalize(&token, "text", bad).is_err());
+    }
 }
