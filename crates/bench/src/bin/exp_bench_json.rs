@@ -24,7 +24,11 @@
 //!   shed split of a latch-choreographed 10× admission storm, and the
 //!   coalesce hit rate of a duplicate-lookup wave. The storm/wave counts
 //!   are deterministic by construction and pinned by `--check`; the
-//!   overhead numbers are machine-dependent and informational,
+//!   overhead numbers are machine-dependent and informational. It also
+//!   holds the Perturbation comparison: the uncached `Perturber` p50 vs
+//!   the warm service p50, whose per-token choices come from the Look Up
+//!   cache. `--check` verifies the warm outputs equal the engine's and
+//!   pins the replacement/miss counts, never the timings,
 //! * the tiered result-cache dimension (`BENCH_cache.json`): the
 //!   hit/miss latency split of the service's normalize caches — the
 //!   whole-text result cache over the cross-text candidate memo —
@@ -35,11 +39,12 @@
 //!   ≤ 1/3 of the uncached p50, and replay p99 below the uncached p99,
 //! * the HTTP wire dimension (`BENCH_http.json`): the same Look Up mix
 //!   over a real loopback socket (one keep-alive connection through
-//!   `cryptext-http`) vs the direct `Gateway` call, so the wire tax —
-//!   parse + route + serialize + two kernel crossings — is measured
-//!   apart from the layering tax. Result shapes (wire hits == direct
-//!   hits) and the served-request count are deterministic and pinned by
-//!   `--check`; the latency numbers are informational.
+//!   `cryptext-http`) vs the direct `Gateway` call made from a `par` pool
+//!   worker, so both sides execute inline and the wire tax — parse +
+//!   route + serialize + two kernel crossings — is measured apart from
+//!   the layering tax and the pool hand-off. Result shapes (wire hits ==
+//!   direct hits) and the served-request count are deterministic and
+//!   pinned by `--check`; the latency numbers are informational.
 //!
 //! ```text
 //! cargo run --release -p cryptext-bench --bin exp_bench_json
@@ -62,13 +67,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cryptext_bench::{build_db, build_db_with_shards, build_platform};
-use cryptext_common::{Error, SimClock};
+use cryptext_common::{par, Error, SimClock};
 use cryptext_core::durable::{DurableOptions, DurableTokenStore};
 use cryptext_core::lookup::LookupHit;
 use cryptext_core::service::{CryptextService, ServiceConfig};
 use cryptext_core::{
     look_up_naive, look_up_with, CrypText, EncodedQuery, LookupParams, LookupScratch,
-    NormalizeParams, NormalizeScratch, Normalizer, StageMetrics, TokenDatabase,
+    NormalizeParams, NormalizeScratch, Normalizer, PerturbParams, Perturber, StageMetrics,
+    TokenDatabase,
 };
 use cryptext_docstore::Database;
 use cryptext_gateway::{
@@ -111,6 +117,11 @@ const SERVICE_ROUNDS: usize = 40;
 /// Rounds for the HTTP wire-overhead comparison (loopback socket vs
 /// direct gateway call), over the same six-query mix.
 const HTTP_ROUNDS: usize = 200;
+/// The Perturbation comparison: the first [`NORM_TEXTS`] feed texts at
+/// manipulation ratio 1 (every eligible word retrieved), timed over this
+/// many rounds per side.
+const PERTURB_ROUNDS: usize = 4;
+const PERTURB_RATIO: f64 = 1.0;
 /// The cache dimension's Zipf replay: [`CACHE_REPLAY`] normalize requests
 /// drawn Zipf-style (exponent [`CACHE_ZIPF_S`]) from a pool of
 /// [`CACHE_POOL`] distinct feed texts — hot texts repeat, the tail stays
@@ -558,6 +569,108 @@ fn check_service() -> Result<(), String> {
     Ok(())
 }
 
+/// The Perturbation comparison: the uncached engine vs the warm service
+/// over the same texts, plus the deterministic result counts of one pass.
+struct PerturbComparison {
+    engine: Measured,
+    warm: Measured,
+    replacements: usize,
+    misses: usize,
+}
+
+/// Time the uncached `Perturber` and the service's cached-retrieval
+/// Perturbation over `texts`, after one cold pass has filled the Look Up
+/// cache. Errs when any service answer, cold or warm, differs from the
+/// engine's.
+fn run_perturbation(
+    platform: &cryptext_stream::SocialPlatform,
+    texts: &[&str],
+) -> Result<PerturbComparison, String> {
+    let svc = CryptextService::new(
+        CrypText::new(build_db(platform)),
+        ServiceConfig {
+            rate_limit_per_minute: 1_000_000,
+            ..ServiceConfig::default()
+        },
+        Arc::new(SimClock::new(0)),
+    );
+    let params = PerturbParams::with_ratio(PERTURB_RATIO);
+    let engine = Perturber::new(svc.system().database());
+    let (mut replacements, mut misses) = (0, 0);
+    for pass in ["cold", "warm"] {
+        for t in texts {
+            let want = engine.perturb(t, params).map_err(|e| e.to_string())?;
+            let got = svc
+                .perturb_prechecked(t, params)
+                .map_err(|e| e.to_string())?;
+            if got != want {
+                return Err(format!(
+                    "{pass} service perturbation of {t:?} differs from the engine's"
+                ));
+            }
+            if pass == "cold" {
+                replacements += want.replacements.len();
+                misses += want.misses;
+            }
+        }
+    }
+    let engine_timed = measure(texts, PERTURB_ROUNDS, |t| {
+        engine.perturb(t, params).unwrap().replacements.len()
+    });
+    let warm = measure(texts, PERTURB_ROUNDS, |t| {
+        svc.perturb_prechecked(t, params)
+            .unwrap()
+            .replacements
+            .len()
+    });
+    Ok(PerturbComparison {
+        engine: engine_timed,
+        warm,
+        replacements,
+        misses,
+    })
+}
+
+/// `--check` for the Perturbation block: warm output equals the engine's
+/// (checked inside the run) and the committed counts match. No timing is
+/// checked.
+fn check_perturbation(
+    platform: &cryptext_stream::SocialPlatform,
+    texts: &[&str],
+) -> Result<(), String> {
+    let json = std::fs::read_to_string("BENCH_service.json")
+        .map_err(|e| format!("read BENCH_service.json: {e}"))?;
+    let fresh = run_perturbation(platform, texts)?;
+    let checks = [
+        ("texts", texts.len() as u64),
+        ("rounds", PERTURB_ROUNDS as u64),
+        ("replacements", fresh.replacements as u64),
+        ("misses", fresh.misses as u64),
+    ];
+    for (key, want) in checks {
+        let got = extract_ints(&json, key);
+        if got != [want] {
+            return Err(format!(
+                "BENCH_service.json {key} is {got:?}, expected [{want}]"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Run `job` on a `par` pool worker and wait for its result, inline when
+/// the pool refuses the dispatch.
+fn on_pool_worker<R: Send + 'static>(job: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = move || {
+        let _ = tx.send(job());
+    };
+    if let Err(run) = par::spawn(run) {
+        run();
+    }
+    rx.recv().expect("the pool job ran to completion")
+}
+
 /// The six-query mix shared by the admission-overhead and wire-overhead
 /// comparisons: clean words, an observed perturbation source, a miss.
 const GATE_QUERIES: [&str; 6] = [
@@ -626,9 +739,10 @@ struct HttpOverhead {
 }
 
 /// Serve the bench fixture over loopback HTTP and run the comparison.
-/// Single connection, sequential requests: the difference between the
-/// two measurements is pure wire tax (parse + route + serialize + two
-/// kernel crossings), not contention.
+/// Single connection, sequential requests, both sides executing the
+/// gateway inline on a pool worker: the difference between the two
+/// measurements is pure wire tax (parse + route + serialize + two kernel
+/// crossings), not contention or a pool hand-off.
 fn run_http_overhead(rounds: usize) -> HttpOverhead {
     let svc = service_fixture();
     let gw: Arc<Gateway<TokenDatabase>> =
@@ -655,10 +769,18 @@ fn run_http_overhead(rounds: usize) -> HttpOverhead {
     let wire = measure(&GATE_QUERIES, rounds, |q| {
         http_lookup(&mut stream, auth.as_str(), q)
     });
-    let direct = measure(&GATE_QUERIES, rounds, |q| {
-        gw.look_up(&auth, q, params, CallOptions::default())
-            .unwrap()
-            .len()
+    // Connection handlers run on pool workers, where the gateway executes
+    // inline; call it from a pool worker too, so neither side pays the
+    // hand-off a non-pool caller would.
+    let direct = on_pool_worker({
+        let (gw, auth) = (Arc::clone(&gw), auth.clone());
+        move || {
+            measure(&GATE_QUERIES, rounds, |q| {
+                gw.look_up(&auth, q, params, CallOptions::default())
+                    .unwrap()
+                    .len()
+            })
+        }
     });
     assert_eq!(
         wire.total_hits, direct.total_hits,
@@ -1110,6 +1232,7 @@ fn main() {
             })
             .and_then(|()| check_ingest(&texts))
             .and_then(|()| check_service())
+            .and_then(|()| check_perturbation(&platform, &norm_texts))
             .and_then(|()| check_cache(&platform))
             .and_then(|()| check_http())
             .and_then(|()| check_metrics_overhead(db, &cx, &queries, &norm_texts))
@@ -1438,6 +1561,9 @@ fn main() {
         "the gateway adds layers, not different results"
     );
 
+    let perturbation = run_perturbation(&platform, &norm_texts)
+        .unwrap_or_else(|e| panic!("perturbation comparison: {e}"));
+
     let capacity = STORM_BUDGET.0 + STORM_BUDGET.1;
     let mut out = String::new();
     out.push_str("{\n");
@@ -1464,10 +1590,20 @@ fn main() {
     );
     let _ = writeln!(
         out,
-        "  \"coalesce_wave\": {{ \"requests\": {WAVE_REQUESTS}, \"executions\": {}, \"coalesced_followers\": {}, \"coalesce_hit_rate\": {:.3} }}",
+        "  \"coalesce_wave\": {{ \"requests\": {WAVE_REQUESTS}, \"executions\": {}, \"coalesced_followers\": {}, \"coalesce_hit_rate\": {:.3} }},",
         chor.wave_executions,
         chor.wave_followers,
         chor.wave_followers as f64 / WAVE_REQUESTS as f64
+    );
+    let _ = writeln!(
+        out,
+        "  \"perturbation\": {{ \"texts\": {}, \"rounds\": {PERTURB_ROUNDS}, \"ratio\": {PERTURB_RATIO:.2}, \"replacements\": {}, \"misses\": {}, \"engine_p50_us\": {:.2}, \"warm_service_p50_us\": {:.2}, \"speedup_p50\": {:.2} }}",
+        norm_texts.len(),
+        perturbation.replacements,
+        perturbation.misses,
+        perturbation.engine.p50_us,
+        perturbation.warm.p50_us,
+        perturbation.engine.p50_us / perturbation.warm.p50_us
     );
     out.push_str("}\n");
     std::fs::write("BENCH_service.json", &out).expect("write BENCH_service.json");
@@ -1589,6 +1725,12 @@ fn main() {
         chor.wave_followers,
         WAVE_REQUESTS,
         chor.wave_executions
+    );
+    eprintln!(
+        "perturbation p50: uncached engine {:.2}µs vs warm service {:.2}µs → {:.2}x",
+        perturbation.engine.p50_us,
+        perturbation.warm.p50_us,
+        perturbation.engine.p50_us / perturbation.warm.p50_us
     );
     eprintln!(
         "cache: warm hit p50 {:.2}µs vs uncached {:.2}µs ({:.1}x); Zipf replay p99 {:.2}µs \

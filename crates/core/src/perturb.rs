@@ -5,12 +5,18 @@
 //! actually written by a human somewhere in the corpus. That is the
 //! paper's headline claim for this function: "perturbations utilized by
 //! CrypText are guaranteed to be observable in human-written texts."
+//!
+//! Retrieval is pluggable: [`Perturber::perturb_with`] takes the per-token
+//! hit source, and [`Perturber::perturb`] is it over a plain uncached
+//! [`look_up`]. The service passes its Look Up cache instead, so each
+//! token's retrieval is cached; the rewrite itself is recomputed per call
+//! and never cached.
 
 use cryptext_common::{Result, SplitMix64};
 use cryptext_tokenizer::{splice, tokenize, Token};
 
 use crate::database::TokenDatabase;
-use crate::lookup::{look_up, LookupParams};
+use crate::lookup::{look_up, LookupHit, LookupParams};
 use crate::store::TokenStore;
 
 /// Parameters of a Perturbation pass.
@@ -87,35 +93,44 @@ impl<'a, S: TokenStore> Perturber<'a, S> {
         Perturber { db }
     }
 
-    /// The perturbation choices available for one token (excluding
-    /// identity spellings).
+    /// The perturbation choices available for one token, in Look Up's hit
+    /// order: its out-of-dictionary spellings, plus its case-emphasis
+    /// variants unless `params.case_sensitive` is set.
     pub fn choices_for(&self, token: &str, params: PerturbParams) -> Result<Vec<String>> {
-        let mut lookup_params = LookupParams::new(params.k, params.d).perturbations_only();
-        if params.observed_only {
-            lookup_params = lookup_params.observed();
-        }
-        let hits = look_up(self.db, token, lookup_params)?;
+        let hits = look_up(self.db, token, choice_params(params))?;
         Ok(hits
             .into_iter()
-            .filter(|h| {
-                // A *different* dictionary word is not a perturbation of
-                // this token — it is a different word that merely sounds
-                // alike ("the" vs "they"). Real perturbations are either
-                // out-of-dictionary spellings or case-emphasis variants of
-                // the same word (the latter only in case-insensitive mode,
-                // per §III-D's case-sensitivity switch).
-                if h.token.eq_ignore_ascii_case(token) {
-                    !params.case_sensitive && h.token != token
-                } else {
-                    !h.is_english
-                }
-            })
+            .filter(|h| is_choice(h, token, params.case_sensitive))
             .map(|h| h.token)
             .collect())
     }
 
-    /// Rewrite `text` at manipulation ratio `r` (§III-D, Fig. 3).
+    /// Rewrite `text` at manipulation ratio `r` (§III-D, Fig. 3), with
+    /// every token's choices retrieved by a plain uncached [`look_up`] —
+    /// the reference every cached caller must match byte for byte.
     pub fn perturb(&self, text: &str, params: PerturbParams) -> Result<PerturbationOutcome> {
+        self.perturb_with(text, params, |token, lookup_params, visit| {
+            visit(&look_up(self.db, token, lookup_params)?);
+            Ok(())
+        })
+    }
+
+    /// [`Self::perturb`] over a caller-supplied hit source: for each token
+    /// sampled for manipulation, `hits_of(token, lookup_params, visit)`
+    /// must call `visit` once with exactly the hits [`look_up`] returns for
+    /// those params (sorted), or fail. Errors abort the pass. The service
+    /// passes its Look Up cache here, so `visit` may borrow cached hits in
+    /// place: the choice filter and the RNG draw run over the borrowed
+    /// slice and only the drawn replacement is cloned.
+    pub fn perturb_with<H>(
+        &self,
+        text: &str,
+        params: PerturbParams,
+        mut hits_of: H,
+    ) -> Result<PerturbationOutcome>
+    where
+        H: FnMut(&str, LookupParams, &mut dyn FnMut(&[LookupHit])) -> Result<()>,
+    {
         TokenDatabase::check_level(params.k)?;
         let mut rng = SplitMix64::new(params.seed);
         let tokens = tokenize(text);
@@ -135,15 +150,19 @@ impl<'a, S: TokenStore> Perturber<'a, S> {
         let mut chosen = rng.sample_indices(eligible.len(), n_target);
         chosen.sort_unstable();
 
+        let lookup_params = choice_params(params);
         let mut replacements: Vec<AppliedPerturbation> = Vec::new();
         let mut misses = 0usize;
         for idx in chosen {
             let tok = eligible[idx];
-            let choices = self.choices_for(&tok.text, params)?;
-            match rng.choose(&choices) {
+            let mut drawn: Option<String> = None;
+            hits_of(&tok.text, lookup_params, &mut |hits| {
+                drawn = draw_choice(hits, &tok.text, params.case_sensitive, &mut rng);
+            })?;
+            match drawn {
                 Some(replacement) => replacements.push(AppliedPerturbation {
                     original: tok.text.clone(),
-                    replacement: replacement.clone(),
+                    replacement,
                     span: tok.span.clone(),
                 }),
                 None => misses += 1,
@@ -159,6 +178,50 @@ impl<'a, S: TokenStore> Perturber<'a, S> {
             misses,
         })
     }
+}
+
+/// The Look Up a token's choices come from. Identity spellings stay in
+/// the hits: [`is_choice`] decides about case-emphasis variants, which
+/// `exclude_identity` would drop before the case switch could see them.
+fn choice_params(params: PerturbParams) -> LookupParams {
+    let lookup_params = LookupParams::new(params.k, params.d);
+    if params.observed_only {
+        lookup_params.observed()
+    } else {
+        lookup_params
+    }
+}
+
+/// Is `hit` a perturbation choice for `token`? A *different* dictionary
+/// word is not a perturbation of this token — it is a different word that
+/// merely sounds alike ("the" vs "they"). Real perturbations are either
+/// out-of-dictionary spellings or case-emphasis variants of the same word
+/// (the latter only in case-insensitive mode, per §III-D's
+/// case-sensitivity switch). Look Up's distance is measured between case
+/// folds (`TokenRecord::folded`), so distance 0 is exactly "same fold".
+fn is_choice(hit: &LookupHit, token: &str, case_sensitive: bool) -> bool {
+    if hit.distance == 0 {
+        !case_sensitive && hit.token != token
+    } else {
+        !hit.is_english
+    }
+}
+
+/// Draw one choice uniformly from `hits` (one RNG draw, none when there is
+/// no choice — the same draws `SplitMix64::choose` makes over the
+/// collected choices) and clone only the drawn token.
+fn draw_choice(
+    hits: &[LookupHit],
+    token: &str,
+    case_sensitive: bool,
+    rng: &mut SplitMix64,
+) -> Option<String> {
+    let mut choices = hits.iter().filter(|h| is_choice(h, token, case_sensitive));
+    let n = choices.clone().count();
+    if n == 0 {
+        return None;
+    }
+    choices.nth(rng.index(n)).map(|h| h.token.clone())
 }
 
 #[cfg(test)]
@@ -287,6 +350,63 @@ mod tests {
             .iter()
             .any(|c| c.eq_ignore_ascii_case("democrats") && c == "democrats"));
         assert!(choices.contains(&"demokRATs".to_string()));
+    }
+
+    #[test]
+    fn case_switch_decides_about_case_emphasis_variants() {
+        let mut d = TokenDatabase::in_memory();
+        d.ingest_text("DEMOCRATS demoCRATS dem0crats");
+        let p = Perturber::new(&d);
+        let insensitive = PerturbParams::with_ratio(1.0);
+        let sensitive = PerturbParams {
+            case_sensitive: true,
+            ..insensitive
+        };
+        let mut offered = p.choices_for("democrats", insensitive).unwrap();
+        offered.sort();
+        assert_eq!(offered, ["DEMOCRATS", "dem0crats", "demoCRATS"]);
+        assert_eq!(
+            p.choices_for("democrats", sensitive).unwrap(),
+            ["dem0crats"]
+        );
+        // The query's own spelling is never a choice, in either mode.
+        assert!(!p
+            .choices_for("DEMOCRATS", insensitive)
+            .unwrap()
+            .contains(&"DEMOCRATS".to_string()));
+
+        // The rewrite draws from the same choices.
+        let drawn: Vec<String> = (0..32)
+            .map(|seed| {
+                let out = p.perturb("democrats", sensitive.seeded(seed)).unwrap();
+                out.replacements[0].replacement.clone()
+            })
+            .collect();
+        assert!(drawn.iter().all(|r| r == "dem0crats"));
+        let drawn: Vec<String> = (0..32)
+            .map(|seed| {
+                let out = p.perturb("democrats", insensitive.seeded(seed)).unwrap();
+                out.replacements[0].replacement.clone()
+            })
+            .collect();
+        assert!(drawn.iter().any(|r| r != "dem0crats"), "{drawn:?}");
+    }
+
+    #[test]
+    fn perturb_with_a_failing_source_surfaces_its_error() {
+        let d = db();
+        let p = Perturber::new(&d);
+        let mut calls = 0;
+        let out = p.perturb_with(
+            "democrats republicans vaccine",
+            PerturbParams::with_ratio(1.0),
+            |_, _, _| {
+                calls += 1;
+                Err(cryptext_common::Error::Internal("source down".into()))
+            },
+        );
+        assert!(out.is_err());
+        assert_eq!(calls, 1, "the first failure aborts the pass");
     }
 
     #[test]

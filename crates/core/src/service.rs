@@ -9,6 +9,9 @@
 //! [`CryptextService`] reproduces that contract in-process: API-token
 //! authentication, per-token fixed-window rate limiting over an injected
 //! [`Clock`], a TTL+LRU result cache for Look Up, and bulk endpoints.
+//! Perturbation reads each sampled token's choices through that same
+//! Look Up cache, so its retrieval is cached; its rewritten text is
+//! recomputed per call and never cached.
 //! The service is generic over the [`TokenStore`], so the same facade
 //! fronts a plain or a durable token database at any shard count.
 //!
@@ -42,7 +45,7 @@ use crate::normalize::{
     CandidateCache, CandidatePairs, NormalizationResult, NormalizeParams, NormalizeScratch,
     Normalizer,
 };
-use crate::perturb::{PerturbParams, PerturbationOutcome};
+use crate::perturb::{PerturbParams, PerturbationOutcome, Perturber};
 use crate::store::TokenStore;
 use crate::CrypText;
 
@@ -52,6 +55,21 @@ use crate::CrypText;
 /// fleet of replica services shares); anything else leaves the service
 /// tier-1-only. [`CryptextService::attach_tier2`] overrides either way.
 pub const TIER2_ENV_VAR: &str = "CRYPTEXT_CACHE_TIER2";
+
+/// Content identity of a system's (store, LM) pair, from the LM
+/// fingerprint and the store's stats.
+fn content_identity<S: TokenStore>(system: &CrypText<S>) -> u64 {
+    let stats = system.database().stats();
+    let mut h = FxHasher::default();
+    h.write_u64(system.language_model().fingerprint());
+    h.write_usize(stats.unique_tokens);
+    h.write_u64(stats.total_occurrences);
+    for sounds in stats.unique_sounds {
+        h.write_usize(sounds);
+    }
+    h.write_usize(stats.english_tokens);
+    h.finish()
+}
 
 /// An issued API authorization token.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -412,16 +430,7 @@ impl<S: TokenStore> CryptextService<S> {
             Ok(v) if v == "shared" => Some(SharedCacheStore::global()),
             _ => None,
         };
-        let stats = system.database().stats();
-        let mut h = FxHasher::default();
-        h.write_u64(system.language_model().fingerprint());
-        h.write_usize(stats.unique_tokens);
-        h.write_u64(stats.total_occurrences);
-        for sounds in stats.unique_sounds {
-            h.write_usize(sounds);
-        }
-        h.write_usize(stats.english_tokens);
-        let tier2_identity = h.finish();
+        let tier2_identity = content_identity(&system);
 
         // One registry per service instance: every layer below registers
         // its live cells, so each snapshot/render is a consistent view of
@@ -520,6 +529,19 @@ impl<S: TokenStore> CryptextService<S> {
         }
         self.invalidated_entries.add(flushed as u64);
         old + 1
+    }
+
+    /// Ingest `texts` into the served store, then bump the generation so
+    /// no cache tier answers from the pre-ingest data. Returns the number
+    /// of tokens ingested.
+    pub fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize {
+        let n = self.system.database_mut().ingest_texts(texts);
+        self.bump_generation();
+        // The data changed, so does its identity: a replica that ingested
+        // something else reaches the same generation in another tier-2
+        // namespace.
+        self.tier2_identity = content_identity(&self.system);
+        n
     }
 
     /// The tier-2 namespace for one generation of this service's data.
@@ -705,11 +727,30 @@ impl<S: TokenStore> CryptextService<S> {
         params: LookupParams,
         cancel: &mut dyn FnMut() -> Option<Error>,
     ) -> Result<(Vec<LookupHit>, Served)> {
+        self.with_lookup_hits(token, params, cancel, <[LookupHit]>::to_vec)
+    }
+
+    /// The cached Look Up core the prechecked endpoints share: `visit`
+    /// sees `token`'s hits and its result is returned with their
+    /// provenance. On a tier-1 hit `visit` borrows the cached hits in
+    /// place, under the cache shard's lock, so it should be brief; on a
+    /// miss the cancellable, instrumented store walk runs, `visit` sees
+    /// its hits, and they fill the cache.
+    fn with_lookup_hits<R>(
+        &self,
+        token: &str,
+        params: LookupParams,
+        cancel: &mut dyn FnMut() -> Option<Error>,
+        mut visit: impl FnMut(&[LookupHit]) -> R,
+    ) -> Result<(R, Served)> {
         let key = self.lookup_cache_key(token, params);
-        if let Some(hits) = cached(&self.lookup_cache, &key) {
-            return Ok((hits, Served::Tier1Hit));
+        let hit = self.lookup_cache.get_with(&key.digest(), |e| {
+            key.matches(&e.material).then(|| visit(&e.value))
+        });
+        if let Some(out) = hit {
+            return Ok((out, Served::Tier1Hit));
         }
-        let hits = PRECHECKED_SCRATCH.with(|scratch| {
+        let mut hits = PRECHECKED_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             // Attach the shared stage instruments for the duration of the
             // engine call; detach before surfacing any error so a scratch
@@ -719,8 +760,12 @@ impl<S: TokenStore> CryptextService<S> {
             scratch.attach_stages(None);
             res
         })?;
-        fill(&self.lookup_cache, &key, hits.clone());
-        Ok((hits, Served::Cold))
+        let out = visit(&hits);
+        // The walk grew the list by doubling; a resident entry keeps only
+        // what it holds.
+        hits.shrink_to_fit();
+        fill(&self.lookup_cache, &key, hits);
+        Ok((out, Served::Cold))
     }
 
     /// Normalization after external authorization (see
@@ -784,13 +829,37 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// Perturbation after external authorization (see
-    /// [`Self::look_up_prechecked`]).
+    /// [`Self::look_up_prechecked`]): each sampled token's choices come
+    /// through the cached Look Up path, so repeated words skip the store
+    /// walk. The rewrite is recomputed per call and never cached.
     pub fn perturb_prechecked(
         &self,
         text: &str,
         params: PerturbParams,
     ) -> Result<PerturbationOutcome> {
-        self.system.perturb(text, params)
+        self.perturb_prechecked_cancellable(text, params, &mut || None)
+    }
+
+    /// [`Self::perturb_prechecked`] with a cooperative cancellation probe,
+    /// consulted during every token's store walk as in
+    /// [`Self::look_up_prechecked`]: a request whose deadline expires
+    /// mid-text stops at the token being retrieved and surfaces the
+    /// probe's error. Byte-identical to the uncached
+    /// [`Perturber::perturb`] otherwise.
+    pub fn perturb_prechecked_cancellable(
+        &self,
+        text: &str,
+        params: PerturbParams,
+        cancel: &mut dyn FnMut() -> Option<Error>,
+    ) -> Result<PerturbationOutcome> {
+        Perturber::new(self.system.database()).perturb_with(
+            text,
+            params,
+            |token, lookup_params, visit| {
+                self.with_lookup_hits(token, lookup_params, cancel, visit)
+                    .map(|((), _)| ())
+            },
+        )
     }
 
     /// Bulk Look Up: one authorization for the whole batch, fanned out
@@ -872,7 +941,8 @@ impl<S: TokenStore> CryptextService<S> {
         })
     }
 
-    /// Perturbation endpoint.
+    /// Perturbation endpoint (per-token retrieval cached, see
+    /// [`Self::perturb_prechecked`]).
     pub fn perturb(
         &self,
         auth: &ApiToken,
@@ -880,7 +950,7 @@ impl<S: TokenStore> CryptextService<S> {
         params: PerturbParams,
     ) -> Result<PerturbationOutcome> {
         self.authorize(auth)?;
-        self.system.perturb(text, params)
+        self.perturb_prechecked(text, params)
     }
 
     /// Look Up cache statistics (the Fig. 5 architecture experiment
@@ -1729,5 +1799,90 @@ mod tests {
             )
             .unwrap();
         assert_eq!(bulk.len(), 2);
+    }
+
+    #[test]
+    fn perturbation_reads_choices_through_the_lookup_cache() {
+        let (svc, _) = service(100);
+        let tok = svc.issue_token("perturb");
+        let text = "the democrats and republicans debate the vaccine, democrats insist";
+        let expected = svc
+            .system()
+            .perturb(text, PerturbParams::with_ratio(1.0))
+            .unwrap();
+        let cold = svc
+            .perturb(&tok, text, PerturbParams::with_ratio(1.0))
+            .unwrap();
+        assert_eq!(cold, expected);
+        let after_cold = svc.cache_stats();
+        // Nine eligible words, seven distinct: the repeated "the" and
+        // "democrats" already hit within the cold call.
+        assert_eq!(after_cold.misses, 7);
+        assert_eq!(after_cold.hits, 2);
+        let warm = svc
+            .perturb(&tok, text, PerturbParams::with_ratio(1.0))
+            .unwrap();
+        assert_eq!(warm, expected);
+        let after_warm = svc.cache_stats();
+        assert_eq!(after_warm.misses, 7, "the warm call walks no store");
+        assert_eq!(after_warm.hits, 2 + 9);
+    }
+
+    #[test]
+    fn perturbation_sees_an_ingest_after_the_generation_bump() {
+        let (mut svc, _) = service(100);
+        let tok = svc.issue_token("ingest");
+        let params = PerturbParams::with_ratio(1.0);
+        let before = svc.perturb(&tok, "a bipartisan vaccine", params).unwrap();
+        assert!(before
+            .replacements
+            .iter()
+            .all(|r| r.original != "bipartisan"));
+        assert_eq!(svc.ingest_texts(&["bipartisan bipart1san"]), 2);
+        assert_eq!(svc.generation(), 1);
+        let after = svc.perturb(&tok, "a bipartisan vaccine", params).unwrap();
+        assert_eq!(
+            after,
+            svc.system()
+                .perturb("a bipartisan vaccine", params)
+                .unwrap()
+        );
+        assert!(after
+            .replacements
+            .iter()
+            .any(|r| r.original == "bipartisan" && r.replacement == "bipart1san"));
+    }
+
+    #[test]
+    fn an_ingest_moves_the_tier2_namespace_with_the_data() {
+        let ingested = |text: &str| {
+            let (mut svc, _) = service(100);
+            svc.ingest_texts(&[text]);
+            svc.tier2_namespace(svc.generation())
+        };
+        // Replicas at the same generation share tier-2 entries only when
+        // they ingested the same data.
+        assert_eq!(ingested("the dem0crats"), ingested("the dem0crats"));
+        assert_ne!(ingested("the dem0crats"), ingested("zebras graze"));
+    }
+
+    #[test]
+    fn an_expiring_probe_stops_perturbation_mid_text() {
+        let (svc, _) = service(100);
+        let mut probes = 0;
+        let out = svc.perturb_prechecked_cancellable(
+            "democrats republicans vaccine democrats republicans vaccine",
+            PerturbParams::with_ratio(1.0),
+            &mut || {
+                probes += 1;
+                (probes > 2).then_some(Error::DeadlineExceeded { budget_ms: 1 })
+            },
+        );
+        assert!(matches!(out, Err(Error::DeadlineExceeded { budget_ms: 1 })));
+        // The walk that fired the probe filled nothing; the earlier ones
+        // did, and no later token was retrieved.
+        let stats = svc.cache_stats();
+        assert!(stats.inserts >= 1 && stats.inserts < 3, "{stats:?}");
+        assert_eq!(stats.hits + stats.misses, stats.inserts + 1);
     }
 }

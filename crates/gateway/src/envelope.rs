@@ -218,7 +218,8 @@ pub enum CacheDisposition {
     Hit,
     /// The result was computed (and is now cached for the next caller).
     Cold,
-    /// The route is uncacheable (Perturbation re-rolls its RNG per call).
+    /// The route's result is never cached: Perturbation caches only its
+    /// per-token Look Ups and recomputes the rewrite per call.
     Bypass,
 }
 

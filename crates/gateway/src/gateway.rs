@@ -496,7 +496,10 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     /// go through single-flight coalescing keyed on route, exact input,
     /// parameters, and generation; Perturbation runs uncoalesced (the
     /// seeded RNG makes byte-identical duplicates rare enough that
-    /// sharing buys nothing) and is marked [`CacheDisposition::Bypass`].
+    /// sharing buys nothing) and is marked [`CacheDisposition::Bypass`]:
+    /// each sampled token's retrieval reads through the service's Look Up
+    /// cache and probes the deadline mid-walk like a Look Up, but the
+    /// rewritten text itself is never cached.
     ///
     /// The typed shims ([`Self::look_up`], [`Self::normalize`],
     /// [`Self::perturb`]) unwrap the envelope for in-process callers;
@@ -552,8 +555,9 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
             }
             RouteParams::Perturb(params) => {
                 let (output, _) =
-                    self.call(RouteClass::Perturb, auth, req.opts, move |svc, _| {
-                        svc.perturb_prechecked(&input, params)
+                    self.call(RouteClass::Perturb, auth, req.opts, move |svc, deadline| {
+                        let mut probe = || deadline.probe();
+                        svc.perturb_prechecked_cancellable(&input, params, &mut probe)
                             .map(|o| (RouteOutput::Perturb(o), Served::Cold))
                     })?;
                 return Ok(Response {
@@ -607,8 +611,8 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
             })
     }
 
-    /// Perturbation through the onion, uncoalesced. Thin shim over
-    /// [`Self::handle`].
+    /// Perturbation through the onion, uncoalesced; every token's store
+    /// walk is cooperatively cancellable. Thin shim over [`Self::handle`].
     pub fn perturb(
         &self,
         auth: &ApiToken,

@@ -6,6 +6,10 @@
 //!   cold fill, warm hit, and again across a generation bump — for shard
 //!   counts 1–8 including a persist/load round trip of the store
 //!   (proptest);
+//! * the service's Perturbation, whose per-token choices read through the
+//!   Look Up cache, is byte-identical to the uncached `Perturber` — cold,
+//!   warm, and after an ingest bumps the generation — at 1 and 4 shards
+//!   (proptest);
 //! * TTL expiry (simulated clock) drops entries and the recompute is
 //!   byte-identical to the original answer;
 //! * a shared tier-2 store serves a fleet of identically-built replicas:
@@ -22,7 +26,7 @@ use cryptext::cache::{CacheConfig, CacheStore, SharedCacheStore, SHARED_PUT_FAIL
 use cryptext::common::{failpoint, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{CrypText, LookupParams, NormalizeParams};
+use cryptext::core::{CrypText, LookupParams, NormalizeParams, PerturbParams, Perturber};
 use cryptext::docstore::Database;
 use proptest::prelude::*;
 
@@ -127,6 +131,103 @@ proptest! {
         prop_assert!(tiers.normalize.inserts > 0, "normalize filled tier-1");
         prop_assert_eq!(tiers.generation, 2);
         prop_assert_eq!(tiers.invalidation_bumps, 2);
+    }
+}
+
+/// The shard counts the Perturbation property runs at.
+const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+/// A corpus with clean words, their human-written perturbations, and
+/// case-emphasis variants (what `case_sensitive` switches on and off).
+const PERTURB_CORPUS: &[&str] = &[
+    "the democrats DEMOCRATS demoCRATS dem0crats argue",
+    "republicans repubLIEcans republic@@ns fight",
+    "the vaccine VACCINE vacc1ne vaxxine mandates",
+    "dirty dirrty thee mandates",
+];
+
+/// Words the Perturbation property draws its texts from: corpus words,
+/// perturbed spellings, and words the corpus never saw.
+const PERTURB_VOCAB: &[&str] = &[
+    "the",
+    "democrats",
+    "DEMOCRATS",
+    "dem0crats",
+    "argue",
+    "republicans",
+    "repubLIEcans",
+    "fight",
+    "vaccine",
+    "vacc1ne",
+    "mandates",
+    "dirty",
+    "dirrty",
+    "and",
+    "zebra",
+    "is",
+    "Vaccine",
+];
+
+/// One perturbation ingested mid-property, with the word it perturbs.
+const NEW_PERTURBATIONS: &[(&str, &str)] = &[
+    ("democrats", "dem0cr@ts"),
+    ("vaccine", "vacc!ne"),
+    ("republicans", "repub1icans"),
+    ("mandates", "MANDATES"),
+    ("argue", "arrgue"),
+];
+
+proptest! {
+    /// The service's Perturbation equals the uncached engine byte for
+    /// byte: the same sorted hits, the same choice filter, the same RNG
+    /// draws, on the cold fill and on the warm (all-hit) repeat. After an
+    /// ingest of a new perturbation, which bumps the generation, it must
+    /// agree with the engine over the new store — no stale choices.
+    #[test]
+    fn service_perturbation_equals_the_uncached_engine(
+        words in proptest::collection::vec(0usize..PERTURB_VOCAB.len(), 1..14),
+        ratio in 0.0f64..1.0,
+        seed in proptest::arbitrary::any::<u64>(),
+        case_sensitive in proptest::arbitrary::any::<bool>(),
+        observed_only in proptest::arbitrary::any::<bool>(),
+        new_perturbation in 0usize..NEW_PERTURBATIONS.len(),
+    ) {
+        let (base, perturbed) = NEW_PERTURBATIONS[new_perturbation];
+        let mut text: Vec<&str> = words.iter().map(|&i| PERTURB_VOCAB[i]).collect();
+        text.push(base);
+        let text = text.join(" ");
+        let params = PerturbParams {
+            ratio,
+            case_sensitive,
+            observed_only,
+            ..PerturbParams::with_ratio(ratio).seeded(seed)
+        };
+        for shards in SHARD_COUNTS {
+            let mut db = TokenDatabase::with_shards(shards);
+            db.seed_lexicon();
+            for s in PERTURB_CORPUS {
+                db.ingest_text(s);
+            }
+            let mut svc = CryptextService::new(
+                CrypText::new(db),
+                ServiceConfig { rate_limit_per_minute: 1_000_000, ..ServiceConfig::default() },
+                Arc::new(SimClock::new(0)),
+            );
+            let auth = svc.issue_token("prop");
+            for round in 0..2 {
+                let expected = Perturber::new(svc.system().database())
+                    .perturb(&text, params)
+                    .unwrap();
+                let cold = svc.perturb(&auth, &text, params).unwrap();
+                let warm = svc.perturb(&auth, &text, params).unwrap();
+                prop_assert_eq!(&cold, &expected, "cold, {} shard(s), round {}", shards, round);
+                prop_assert_eq!(&warm, &expected, "warm, {} shard(s), round {}", shards, round);
+                if round == 0 {
+                    svc.ingest_texts(&[format!("{base} {perturbed}")]);
+                }
+            }
+            prop_assert_eq!(svc.generation(), 1);
+        }
     }
 }
 

@@ -10,8 +10,8 @@
 //! * duplicate in-flight requests coalesce to one execution and share the
 //!   leader's exact bytes; a retryably-failing leader promotes exactly one
 //!   follower; a non-retryable failure broadcasts;
-//! * deadlines are respected before, during (mid-store-walk), and after
-//!   execution dispatch;
+//! * deadlines are respected before, during (mid-store-walk, and
+//!   mid-text for Perturbation), and after execution dispatch;
 //! * a token revoked while requests sit in the admission queue rejects
 //!   them deterministically at dequeue;
 //! * rate-limited clients fail fast with a typed, honest
@@ -24,19 +24,19 @@
 //! gateway's own failpoints (`gateway.execute=delay@1:5`,
 //! `gateway.drain.flush=kill@1`). The assertions below hold under those
 //! arms by construction: delays only stretch wall-clock time (deadlines in
-//! these tests ride a frozen simulated clock), and the drain test expects
-//! the flush kill already.
+//! these tests ride simulated clocks that wall time never moves), and the
+//! drain test expects the flush kill already.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cryptext::common::{failpoint, Error, SimClock};
+use cryptext::common::{failpoint, Clock, Error, SimClock, Timestamp};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::durable::{DurableOptions, DurableTokenStore};
 use cryptext::core::lookup::LookupHit;
 use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{CrypText, LookupParams};
+use cryptext::core::{CrypText, LookupParams, PerturbParams};
 use cryptext::gateway::{
     CallOptions, Gateway, GatewayConfig, RouteBudget, RouteClass, SingleFlight,
 };
@@ -102,9 +102,8 @@ impl Latch {
     }
 }
 
-/// A service over a small fixed corpus on a frozen simulated clock, so
-/// deadlines never expire unless a test advances time on purpose.
-fn test_service(limit: u32) -> (Arc<CryptextService<TokenDatabase>>, SimClock) {
+/// The small fixed corpus every test service serves.
+fn test_db() -> TokenDatabase {
     let mut db = TokenDatabase::in_memory();
     for text in [
         "the dirrty republicans",
@@ -115,9 +114,15 @@ fn test_service(limit: u32) -> (Arc<CryptextService<TokenDatabase>>, SimClock) {
     ] {
         db.ingest_text(text);
     }
+    db
+}
+
+/// A service over [`test_db`] on a frozen simulated clock, so deadlines
+/// never expire unless a test advances time on purpose.
+fn test_service(limit: u32) -> (Arc<CryptextService<TokenDatabase>>, SimClock) {
     let clock = SimClock::new(0);
     let svc = CryptextService::new(
-        CrypText::new(db),
+        CrypText::new(test_db()),
         ServiceConfig {
             rate_limit_per_minute: limit,
             ..ServiceConfig::default()
@@ -432,6 +437,94 @@ fn an_expired_deadline_cancels_the_store_walk_mid_flight() {
     assert!(
         matches!(out, Err(Error::DeadlineExceeded { budget_ms: 40 })),
         "walk aborted mid-flight: {out:?}"
+    );
+}
+
+/// A clock that advances one millisecond on every read made off the
+/// thread that built it, so a deadline runs out after a fixed amount of
+/// the gateway worker's work — independent of wall time and of how often
+/// the waiting caller polls.
+struct WorkTickingClock {
+    now: AtomicU64,
+    caller: std::thread::ThreadId,
+}
+
+impl Clock for WorkTickingClock {
+    fn now(&self) -> Timestamp {
+        let tick = u64::from(std::thread::current().id() != self.caller);
+        self.now.fetch_add(tick, Ordering::Relaxed)
+    }
+}
+
+#[test]
+fn an_expired_deadline_cancels_a_perturbation_mid_text() {
+    // Every word of the text has hits, so every token's store walk
+    // consults the deadline probe. The worker's clock reads run the
+    // budget out partway through the text: the request must surface the
+    // typed deadline error, and no token after the one being walked may
+    // be retrieved.
+    const BUDGET_MS: u64 = 12;
+    let text = "republicans repubLIEcans vaccine vacc1ne vaxxine mandates \
+                democrats demokkkrats dem0crats dirty dirrty republicans";
+    let params = PerturbParams::with_ratio(1.0);
+    let gateway = || {
+        let clock = WorkTickingClock {
+            now: AtomicU64::new(0),
+            caller: std::thread::current().id(),
+        };
+        let svc = Arc::new(CryptextService::new(
+            CrypText::new(test_db()),
+            ServiceConfig {
+                rate_limit_per_minute: 1_000_000,
+                ..ServiceConfig::default()
+            },
+            Arc::new(clock),
+        ));
+        let gw = Gateway::new(Arc::clone(&svc), GatewayConfig::default());
+        let auth = svc.issue_token("perturber");
+        (svc, gw, auth)
+    };
+    let retrievals = |svc: &CryptextService<TokenDatabase>| {
+        let s = svc.cache_stats();
+        s.hits + s.misses
+    };
+
+    // With budget to spare the text completes, one retrieval per word.
+    let (svc, gw, auth) = gateway();
+    let whole = gw
+        .perturb(
+            &auth,
+            text,
+            params,
+            CallOptions::with_deadline_ms(1_000_000),
+        )
+        .expect("an unhurried perturbation completes");
+    assert_eq!(whole, svc.system().perturb(text, params).unwrap());
+    assert_eq!(retrievals(&svc), 12);
+
+    let (svc, gw, auth) = gateway();
+    let out = gw.perturb(
+        &auth,
+        text,
+        params,
+        CallOptions::with_deadline_ms(BUDGET_MS).no_retries(),
+    );
+    assert!(
+        matches!(
+            out,
+            Err(Error::DeadlineExceeded {
+                budget_ms: BUDGET_MS
+            })
+        ),
+        "perturbation aborted mid-text: {out:?}"
+    );
+    eventually("the cancelled perturbation to settle", || {
+        gw.stats().active_now == 0
+    });
+    let done = retrievals(&svc);
+    assert!(
+        (1..12).contains(&done),
+        "the walk stopped mid-text, after {done} of 12 retrievals"
     );
 }
 
